@@ -91,15 +91,6 @@ class CertificateFit:
     residual: float
     t_bound: float
 
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "a": self.a,
-            "fit_window": list(self.fit_window),
-            "residual": self.residual,
-            "t_bound": self.t_bound,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Lyapunov evaluation

@@ -4,6 +4,11 @@ Flag names mirror the math symbols (--alpha, --beta, --gamma, --kappa,
 --p) so configurations can be cross-read directly.  Exit codes: 0
 success, 1 usage error, 2 configuration error, 3 runtime or numerical
 failure.
+
+`sweep` and `repro` run their members in worker processes, one per usable
+CPU; this process writes every artifact in member order.  A failing member
+stops no other: its summary (no CSV) and `<label>.sweep.json` carry the
+error, and the exit code is that of the first failing member's error.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -23,16 +29,18 @@ from .certificates import (
     verify_power_bound,
 )
 from .experiments import (
+    ExperimentConfig,
     ExperimentError,
     PRESET_NAMES,
-    expand,
     export_trajectory,
+    flow_from_dict,
     load_config,
     preset,
     run as run_experiment,
+    sweep,
     write_summary,
 )
-from .flow import FlowError, FlowParams, conservative_params
+from .flow import FlowError, FlowParams
 from .integrate import IntegrationError
 from .objectives import (
     ObjectiveError,
@@ -109,26 +117,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_DEFAULT_FLOW = FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0)
+
+
+def _objective_params(args) -> dict:
+    return {key: getattr(args, key) for key in ("p", "dim") if getattr(args, key) is not None}
+
+
 def _objective_from_args(args):
     if not args.objective:
         raise ObjectiveError("an --objective is required")
-    params = {}
-    if args.p is not None:
-        params["p"] = args.p
-    if getattr(args, "dim", None) is not None:
-        params["dim"] = args.dim
-    return make_objective(args.objective, params)
+    return make_objective(args.objective, _objective_params(args))
 
 
-def _flow_from_args(args, base: FlowParams | None = None):
-    d = base.to_dict() if base is not None else {"alpha": -0.5, "beta": 0.5, "gamma": 0.5, "kappa": 1.0}
-    for key in ("alpha", "beta", "gamma", "kappa"):
+def _flow_from_args(args, base: FlowParams = _DEFAULT_FLOW):
+    d = base.to_dict()
+    for key in d:
         val = getattr(args, key, None)
         if val is not None:
             d[key] = val
-    if d["beta"] == 1.0 and d["gamma"] == 1.0:
-        return conservative_params(alpha=d["alpha"], kappa=d["kappa"])
-    return FlowParams(**d)
+    return flow_from_dict(d)
 
 
 def _config_from_args(args):
@@ -139,18 +147,11 @@ def _config_from_args(args):
     else:
         objective = _objective_from_args(args)
         theta0 = args.theta0 or [1.0] + [0.0] * (objective.dim - 1)
-        from .experiments import ExperimentConfig
-
-        params = {}
-        if args.p is not None:
-            params["p"] = args.p
-        if args.dim is not None:
-            params["dim"] = args.dim
         cfg = ExperimentConfig(
             objective_name=args.objective,
-            objective_params=params,
+            objective_params=_objective_params(args),
             theta0=tuple(theta0),
-            flow=FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0),
+            flow=_DEFAULT_FLOW,
             label=args.objective,
         )
     # flag overrides take precedence over config file values
@@ -165,8 +166,27 @@ def _config_from_args(args):
 
 def _export_run(traj, summary, outdir: Path):
     outdir.mkdir(parents=True, exist_ok=True)
-    export_trajectory(traj, outdir / f"{summary.label}.csv")
+    if traj is not None:
+        export_trajectory(traj, outdir / f"{summary.label}.csv")
     write_summary(summary, outdir / f"{summary.label}.summary.json")
+
+
+def _export_sweep(label: str, pairs, outdir: Path):
+    """Write each member's artifacts, then `<label>.sweep.json`."""
+    summaries = []
+    for traj, summary in pairs:
+        _export_run(traj, summary, outdir)
+        summaries.append(summary)
+    combined = outdir / f"{label}.sweep.json"
+    combined.write_text(json.dumps([s.to_dict() for s in summaries], indent=2) + "\n")
+    return summaries, combined
+
+
+def _raise_member_error(summaries) -> None:
+    # re-raised so that `main` maps it to the exit code of its class
+    for summary in summaries:
+        if summary.exception is not None:
+            raise summary.exception
 
 
 def _cmd_run(args) -> int:
@@ -183,16 +203,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    members = expand(cfg)
-    summaries = []
-    for member in members:
-        traj, summary = run_experiment(member)
-        _export_run(traj, summary, args.output_dir)
-        summaries.append(summary)
-    combined = args.output_dir / f"{cfg.label}.sweep.json"
-    combined.write_text(json.dumps([s.to_dict() for s in summaries], indent=2) + "\n")
+    summaries, combined = _export_sweep(cfg.label, sweep(cfg), args.output_dir)
     settled = sum(1 for s in summaries if s.settled_at is not None)
     print(f"sweep {cfg.label}: {len(summaries)} members, {settled} settled -> {combined}")
+    _raise_member_error(summaries)
     return 0
 
 
@@ -273,20 +287,17 @@ def _cmd_verify_lemma1(args) -> int:
 
 def _cmd_repro(args) -> int:
     names = {"fig1": ("fig1-left", "fig1-right"), "fig2": ("fig2",)}[args.figure]
-    for name in names:
-        cfg = preset(name)
-        summaries = []
-        for member in expand(cfg):
-            traj, summary = run_experiment(member)
-            _export_run(traj, summary, args.output_dir)
-            summaries.append(summary)
-        combined = args.output_dir / f"{cfg.label}.sweep.json"
-        combined.write_text(json.dumps([s.to_dict() for s in summaries], indent=2) + "\n")
+    cfgs = [preset(name) for name in names]
+    pairs = sweep(*cfgs)  # one pool for the members of every preset
+    rest = iter(pairs)
+    for name, cfg in zip(names, cfgs):
+        summaries, _ = _export_sweep(cfg.label, islice(rest, len(cfg.sweep)), args.output_dir)
         times = ", ".join(
             f"{s.label}: {s.settled_at:.4g}" if s.settled_at is not None else f"{s.label}: -"
             for s in summaries
         )
         print(f"repro {name}: settling times {{{times}}} -> {args.output_dir}")
+    _raise_member_error(summary for _, summary in pairs)
     return 0
 
 

@@ -11,8 +11,8 @@ claimed, not curve-level reproduction.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -74,16 +74,7 @@ class ExperimentConfig:
             "objective": {"name": self.objective_name, "params": dict(self.objective_params)},
             "theta0": list(np.asarray(self.theta0, dtype=float)),
             "flow": self.flow.to_dict(),
-            "integrator": {
-                "rel_tol": self.integrator.rel_tol,
-                "abs_tol": self.integrator.abs_tol,
-                "initial_step": self.integrator.initial_step,
-                "min_step": self.integrator.min_step,
-                "max_step": self.integrator.max_step,
-                "t_max": self.integrator.t_max,
-                "settle_tol": self.integrator.settle_tol,
-                "record_stride": self.integrator.record_stride,
-            },
+            "integrator": asdict(self.integrator),
         }
         if self.v0 is not None:
             d["v0"] = list(np.asarray(self.v0, dtype=float))
@@ -92,7 +83,7 @@ class ExperimentConfig:
         return d
 
 
-def _flow_from_dict(d: dict) -> FlowParams:
+def flow_from_dict(d: dict) -> FlowParams:
     alpha = float(d["alpha"])
     beta = float(d.get("beta", 0.5))
     gamma = float(d.get("gamma", 0.5))
@@ -111,7 +102,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         objective_params=dict(d["objective"].get("params", {})),
         theta0=tuple(d["theta0"]),
         v0=tuple(d["v0"]) if "v0" in d else None,
-        flow=_flow_from_dict(d["flow"]),
+        flow=flow_from_dict(d["flow"]),
         integrator=IntegratorConfig(**integ),
         sweep=tuple(d.get("sweep", ())),
         label=d.get("label", "run"),
@@ -134,19 +125,13 @@ class RunSummary:
     admissibility: Optional[AdmissibilityReport]
     dominance_seed: int = DOMINANCE_SEED
     error: Optional[str] = None
+    # the exception behind `error`, so a caller can re-raise it; not serialized
+    exception: Optional[Exception] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "settled_at": self.settled_at,
-            "terminated_reason": self.terminated_reason,
-            "final_f_gap": self.final_f_gap,
-            "final_state_error": self.final_state_error,
-            "certificate": self.certificate.to_dict() if self.certificate else None,
-            "admissibility": self.admissibility.to_dict() if self.admissibility else None,
-            "dominance_seed": self.dominance_seed,
-            "error": self.error,
-        }
+        d = asdict(self)
+        del d["exception"]
+        return d
 
 
 def run(config: ExperimentConfig) -> tuple[Trajectory, RunSummary]:
@@ -215,7 +200,7 @@ def expand(config: ExperimentConfig) -> list[ExperimentConfig]:
         members.append(
             replace(
                 config,
-                flow=_flow_from_dict(flow_dict),
+                flow=flow_from_dict(flow_dict),
                 objective_params=obj_params,
                 sweep=(),
                 label=label,
@@ -224,31 +209,47 @@ def expand(config: ExperimentConfig) -> list[ExperimentConfig]:
     return members
 
 
-def sweep(config: ExperimentConfig, max_workers: int = 4) -> list[RunSummary]:
-    """Run every sweep member; summaries come back in input order.
+def _run_member(member: ExperimentConfig) -> tuple[Optional[Trajectory], RunSummary]:
+    """`run` one sweep member; a failure yields no trajectory and a summary
+    carrying the error.  Module-level so that worker processes can be sent it."""
+    try:
+        return run(member)
+    except Exception as exc:  # attach, don't abort the sweep
+        return None, RunSummary(
+            label=member.label,
+            settled_at=None,
+            terminated_reason="error",
+            final_f_gap=float("nan"),
+            final_state_error=float("nan"),
+            certificate=None,
+            admissibility=None,
+            error=f"{type(exc).__name__}: {exc}",
+            exception=exc,
+        )
 
-    A failing member contributes a summary carrying its error message
-    instead of aborting the sweep.
+
+def sweep(*configs: ExperimentConfig) -> list[tuple[Optional[Trajectory], RunSummary]]:
+    """Run every sweep member of `configs`; (trajectory or None, summary)
+    pairs come back in member order.
+
+    A failing member contributes no trajectory and a summary carrying its
+    error instead of aborting the sweep.  Members run in forked worker
+    processes, one per usable CPU but no more than there are members; with
+    a single worker, or where the platform cannot fork, they run in this
+    process.  Each member's result is the same either way.
     """
-    members = expand(config)
+    # imported here so that a plain `run` does not pay for them
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
 
-    def one(member):
-        try:
-            return run(member)[1]
-        except Exception as exc:  # attach, don't abort the sweep
-            return RunSummary(
-                label=member.label,
-                settled_at=None,
-                terminated_reason="error",
-                final_f_gap=float("nan"),
-                final_state_error=float("nan"),
-                certificate=None,
-                admissibility=None,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one, members))
+    members = [m for cfg in configs for m in expand(cfg)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(members), cpus or 1)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_run_member(m) for m in members]
+    # fork, not spawn: a spawned worker would import numpy and scipy again
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_run_member, members))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from ftflow.cli import main
+from ftflow.experiments import preset
 
 
 def invoke(args):
@@ -110,6 +112,34 @@ class TestSweep:
         assert [m["label"] for m in combined] == ["fig2-p1.5", "fig2-p2", "fig2-p3"]
         for member in combined:
             assert (tmp_path / f"{member['label']}.csv").exists()
+
+    @pytest.mark.parametrize(
+        "override, code",
+        [({"p": 0.5}, 2), ({"dim": 3}, 3)],  # ObjectiveError; IntegrationError (theta0 has dim 2)
+    )
+    def test_failing_member_keeps_the_others(self, tmp_path, capsys, override, code):
+        cfg = replace(
+            preset("fig2"),
+            sweep=(
+                {"objective_params": {"p": 2.0}, "label": "good"},
+                {"objective_params": override, "label": "bad"},
+                {"objective_params": {"p": 3.0}, "label": "after"},
+            ),
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert invoke(["sweep", "--config", str(path), "--output-dir", str(tmp_path)]) == code
+        captured = capsys.readouterr()
+        assert "3 members, 2 settled" in captured.out
+        assert captured.err.startswith("error: ")
+        combined = json.loads((tmp_path / "fig2.sweep.json").read_text())
+        assert [m["label"] for m in combined] == ["good", "bad", "after"]
+        assert [m["error"] is None for m in combined] == [True, False, True]
+        assert json.loads((tmp_path / "bad.summary.json").read_text()) == combined[1]
+        assert not (tmp_path / "bad.csv").exists()
+        for label in ("good", "after"):
+            assert (tmp_path / f"{label}.csv").exists()
+            assert (tmp_path / f"{label}.summary.json").exists()
 
 
 class TestCertify:

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from ftflow.experiments import (
     write_summary,
 )
 from ftflow.flow import FlowParams
-from ftflow.integrate import IntegratorConfig
+from ftflow.integrate import IntegratorConfig, Trajectory
 
 FAST = IntegratorConfig(
     rel_tol=1e-10, abs_tol=1e-13, t_max=50.0, settle_tol=1e-9, record_stride=0.02
@@ -46,6 +47,24 @@ class TestConfig:
         assert again.theta0 == cfg.theta0
         assert again.integrator.settle_tol == cfg.integrator.settle_tol
         assert again.label == cfg.label
+
+    def test_every_integrator_field_round_trips(self):
+        integrator = IntegratorConfig(
+            rel_tol=1e-9,
+            abs_tol=1e-11,
+            initial_step=1e-3,
+            min_step=1e-12,
+            max_step=0.5,
+            t_max=20.0,
+            settle_tol=1e-8,
+            record_stride=0.01,
+            singular_tol=1e-12,
+        )
+        for f in fields(IntegratorConfig):
+            assert getattr(integrator, f.name) != f.default, f.name
+        cfg = replace(PPOWER_CFG, integrator=integrator)
+        again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert again.integrator == integrator
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -134,12 +153,27 @@ class TestRun:
             ),
             label="mixed",
         )
-        summaries = sweep(cfg)
+        summaries = [summary for _, summary in sweep(cfg)]
         assert [s.label for s in summaries] == ["good", "bad"]
         assert summaries[0].error is None
         assert summaries[0].settled_at is not None
         assert summaries[1].error is not None
         assert summaries[1].terminated_reason == "error"
+
+    def test_pooled_sweep_matches_in_process_runs(self):
+        # three members: on more than one usable CPU they go through the pool
+        cfg = preset("fig2")
+        pairs = sweep(cfg)
+        assert len(pairs) == len(expand(cfg))
+        for (traj, summary), member in zip(pairs, expand(cfg)):
+            ref_traj, ref_summary = run(member)
+            assert summary == ref_summary
+            for f in fields(Trajectory):
+                got, want = getattr(traj, f.name), getattr(ref_traj, f.name)
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want), f.name
+                else:
+                    assert got == want, f.name
 
 
 class TestCsv:
