@@ -12,11 +12,11 @@ from .flow import (
     FlowState,
     StackedGradientMomentum,
     conservative_params,
-    energy,
+    flow_field,
     heavy_ball_params,
+    lyapunov,
     pi_params,
     stacked,
-    vector_field,
 )
 from .objectives import (
     DominanceEstimate,

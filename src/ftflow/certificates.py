@@ -2,10 +2,10 @@
 
 The Lyapunov candidate is V = f - f* + beta/(2 gamma kappa) ||v||^2, with
 derivative -||z||^alpha [(1-beta)||grad f||^2 + beta(1-gamma)/gamma ||v||^2]
-along the flow.  Boundary structures (beta = 1 or gamma = 1) use the
-cross-term candidate V - eps v^T grad f, whose well-posedness and strict
-dissipation reduce to positive definiteness of 2x2 block-coefficient
-matrices (W, W1, W2) checked here.  Finite-time behavior is certified
+along the flow, both evaluated by `flow.lyapunov`.  Boundary structures
+(beta = 1 or gamma = 1) use the cross-term candidate V - eps v^T grad f,
+whose well-posedness and strict dissipation reduce to positive
+definiteness of 2x2 block-coefficient matrices (W, W1, W2) checked here.  Finite-time behavior is certified
 empirically by fitting (c, a) in dV/dt + c V^a <= 0 on a trajectory
 window, which yields the settling bound V0^(1-a) / (c (1-a)).
 """
@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import FlowParams, FlowState, stacked
+from .flow import FlowParams, FlowState, lyapunov, stacked
 from .integrate import Trajectory
 from .objectives import DominanceEstimate, Objective
 
@@ -98,25 +98,18 @@ class CertificateFit:
 
 def lyapunov_v(state: FlowState, params: FlowParams, objective: Objective) -> float:
     """V = f(theta) - f* + beta/(2 gamma kappa) ||v||^2."""
-    f_star = objective.f_star  # raises when the optimum is unknown
-    return (
-        objective.f(state.theta)
-        - f_star
-        + params.beta / (2.0 * params.gamma * params.kappa) * float(np.dot(state.v, state.v))
-    )
+    f_gap = objective.f(state.theta) - objective.f_star  # raises when the optimum is unknown
+    # V involves neither grad f nor ||z||
+    return float(lyapunov(params, f_gap, 0.0, float(np.dot(state.v, state.v)), 0.0)[0])
 
 
 def lyapunov_vdot(state: FlowState, params: FlowParams, objective: Objective) -> float:
-    """Analytic dV/dt along the flow; 0 at the equilibrium (zero field)."""
+    """Analytic dV/dt along the flow; 0 where the field is zero."""
     z = stacked(state, objective)
-    if z.norm == 0.0:
-        return 0.0
     g2 = float(np.dot(z.grad, z.grad))
     v2 = float(np.dot(state.v, state.v))
-    return -(z.norm ** params.alpha) * (
-        (1.0 - params.beta) * g2
-        + params.beta * (1.0 - params.gamma) / params.gamma * v2
-    )
+    # dV/dt does not involve f
+    return float(lyapunov(params, 0.0, g2, v2, z.norm)[1])
 
 
 def lyapunov_v_cross(

@@ -119,12 +119,15 @@ class RunSummary:
     label: str
     settled_at: Optional[float]
     terminated_reason: str
-    final_f_gap: float
-    final_state_error: float
+    final_f_gap: Optional[float]  # None for a failed run
+    final_state_error: Optional[float]  # None for a failed run or an unknown optimum
     certificate: Optional[CertificateFit]
     admissibility: Optional[AdmissibilityReport]
     dominance_seed: int = DOMINANCE_SEED
     error: Optional[str] = None
+    # why `certificate` / `admissibility` is None, when it is
+    certificate_error: Optional[str] = None
+    admissibility_error: Optional[str] = None
     # the exception behind `error`, so a caller can re-raise it; not serialized
     exception: Optional[Exception] = field(default=None, compare=False, repr=False)
 
@@ -134,12 +137,17 @@ class RunSummary:
         return d
 
 
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run(config: ExperimentConfig) -> tuple[Trajectory, RunSummary]:
     """Integrate one config and summarize it.
 
     The certificate fit and admissibility check are best-effort: a
     trajectory without a usable fit window (e.g. a conservative run)
-    yields a summary without a certificate.
+    yields a summary without a certificate, and `certificate_error` /
+    `admissibility_error` say what was raised instead.
     """
     objective = config.objective()
     traj = integrate(config.initial_state(), config.flow, objective, config.integrator)
@@ -151,22 +159,22 @@ def run(config: ExperimentConfig) -> tuple[Trajectory, RunSummary]:
         state_err = float(np.linalg.norm(theta_final - objective.theta_star))
     else:
         f_gap = float(f_final - np.min(traj.f))
-        state_err = float("nan")
+        state_err = None
 
-    certificate = None
+    certificate = certificate_error = None
     try:
         certificate = fit_certificate(traj)
-    except Exception:
-        pass
+    except Exception as exc:
+        certificate_error = _describe(exc)
 
-    admissibility = None
+    admissibility = admissibility_error = None
     try:
         samples = shell_samples(objective, count=64, seed=DOMINANCE_SEED)
         dominance = estimate_dominance(objective, samples)
         evidence = hessian_definiteness(objective, samples)
         admissibility = check_admissibility(config.flow, dominance, evidence)
-    except Exception:
-        pass
+    except Exception as exc:
+        admissibility_error = _describe(exc)
 
     summary = RunSummary(
         label=config.label,
@@ -176,6 +184,8 @@ def run(config: ExperimentConfig) -> tuple[Trajectory, RunSummary]:
         final_state_error=state_err,
         certificate=certificate,
         admissibility=admissibility,
+        certificate_error=certificate_error,
+        admissibility_error=admissibility_error,
     )
     return traj, summary
 
@@ -219,11 +229,11 @@ def _run_member(member: ExperimentConfig) -> tuple[Optional[Trajectory], RunSumm
             label=member.label,
             settled_at=None,
             terminated_reason="error",
-            final_f_gap=float("nan"),
-            final_state_error=float("nan"),
+            final_f_gap=None,
+            final_state_error=None,
             certificate=None,
             admissibility=None,
-            error=f"{type(exc).__name__}: {exc}",
+            error=_describe(exc),
             exception=exc,
         )
 

@@ -7,12 +7,15 @@ The flow couples a decision variable theta and a momentum variable v:
 
 where z stacks the gradient and the momentum.  With alpha < 0 the field
 is non-Lipschitz at the equilibrium; it is continuously extended by zero
-inside a small ball ||z|| <= singular_tol.
+inside a small ball ||z|| <= singular_tol.  `flow_field` is the one
+implementation of the field and `lyapunov` the one formula for V, its
+derivative and the energy; the integrator and the certificates call both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -128,35 +131,62 @@ def stacked(state: FlowState, objective: Objective) -> StackedGradientMomentum:
     return StackedGradientMomentum(grad=grad, momentum=np.asarray(state.v), norm=norm)
 
 
-def vector_field(
-    state: FlowState,
+def flow_field(
     params: FlowParams,
-    objective: Objective,
+    gradient: Callable[[np.ndarray], np.ndarray],
+    n: int,
     singular_tol: float = DEFAULT_SINGULAR_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (theta', v') at the given state.
+) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The flow as dy/dt = field(t, y) on the flat state y = [theta, v].
 
-    Returns the exact zero field whenever ||z|| <= singular_tol: for
+    The field is exactly zero whenever ||z|| <= singular_tol: for
     alpha > -1 this is the continuous extension at the equilibrium, and
     it makes the equilibrium an exact fixed point of any integrator.
+    `gradient` is called once per evaluation and is not checked for
+    finiteness; an overflowing ||z|| yields an inf field instead.
     """
-    if singular_tol <= 0.0:
-        raise FlowError("singular_tol must be positive")
-    if state.dim != objective.dim:
-        raise FlowError(
-            f"state dimension {state.dim} does not match objective dimension "
-            f"{objective.dim}"
-        )
-    z = stacked(state, objective)
-    n = state.dim
-    if z.norm <= singular_tol:
-        return np.zeros(n), np.zeros(n)
-    scale = z.norm ** params.alpha
-    dtheta = scale * (-(1.0 - params.beta) * z.grad + params.beta * state.v)
-    dv = -params.kappa * scale * (
-        params.gamma * z.grad + (1.0 - params.gamma) * state.v
-    )
-    return dtheta, dv
+    alpha, beta, gamma, kappa = params.alpha, params.beta, params.gamma, params.kappa
+
+    def field(t, y):
+        g = gradient(y[:n])
+        v = y[n:]
+        znorm = np.sqrt(np.dot(g, g) + np.dot(v, v))
+        if znorm <= singular_tol:
+            return np.zeros(2 * n)
+        if not np.isfinite(znorm):
+            # overflow on a trial stage: hand back an inf field so the
+            # error control rejects the step instead of aborting
+            return np.full(2 * n, np.inf)
+        s = znorm ** alpha
+        out = np.empty(2 * n)
+        out[:n] = s * (beta * v - (1.0 - beta) * g)
+        out[n:] = (-kappa * s) * (gamma * g + (1.0 - gamma) * v)
+        return out
+
+    return field
+
+
+def lyapunov(
+    params: FlowParams, f_gap, g2, v2, znorm, singular_tol: float = DEFAULT_SINGULAR_TOL
+):
+    """(V, dV/dt, H) from f - f_ref, ||grad f||^2, ||v||^2 and ||z||.
+
+    V = f_gap + beta/(2 gamma kappa) ||v||^2 is the Lyapunov function,
+    dV/dt = -||z||^alpha [(1-beta)||grad f||^2 + beta(1-gamma)/gamma ||v||^2]
+    its derivative along the flow (0 where the field is zero, at
+    ||z|| <= singular_tol), and H = ||v||^2/2 + kappa f_gap the energy,
+    invariant along conservative (beta = gamma = 1) flows.  Inputs may be
+    scalars or arrays of samples; V depends only on (f_gap, v2), dV/dt
+    only on (g2, v2, znorm).
+    """
+    alpha, beta, gamma, kappa = params.alpha, params.beta, params.gamma, params.kappa
+    V = f_gap + (beta / (2.0 * gamma * kappa)) * v2
+    znorm = np.asarray(znorm, dtype=float)
+    with np.errstate(divide="ignore"):
+        scale = np.where(znorm > singular_tol, znorm ** alpha, 0.0)
+    Vdot = -scale * ((1.0 - beta) * g2 + (beta * (1.0 - gamma) / gamma) * v2)
+    H = 0.5 * v2 + kappa * f_gap
+    return V, Vdot, H
 
 
 def heavy_ball_params(alpha: float, gamma: float, kappa: float) -> FlowParams:
@@ -187,19 +217,3 @@ def conservative_params(alpha: float, kappa: float) -> FlowParams:
     non_dissipative.
     """
     return FlowParams(alpha=alpha, beta=1.0, gamma=1.0, kappa=kappa, non_dissipative=True)
-
-
-def energy(state: FlowState, objective: Objective, kappa: float) -> float:
-    """H = ||v||^2 / 2 + kappa (f(theta) - f*).
-
-    Uses the objective's registered optimal value when available so that
-    H >= 0 and H = 0 exactly at the equilibrium; otherwise reports the
-    raw kappa * f(theta) offsetless value.
-    """
-    if kappa <= 0.0:
-        raise FlowError("kappa must be positive")
-    f_val = objective.f(state.theta)
-    if not np.isfinite(f_val):
-        raise FlowError(f"objective value is non-finite at theta={state.theta}")
-    f_star = objective.f_star if objective.optimum is not None else 0.0
-    return 0.5 * float(np.dot(state.v, state.v)) + kappa * (f_val - f_star)

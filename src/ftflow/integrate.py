@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .flow import DEFAULT_SINGULAR_TOL, FlowParams, FlowState
+from .flow import DEFAULT_SINGULAR_TOL, FlowParams, FlowState, flow_field, lyapunov
 from .objectives import Objective
 
 
@@ -95,7 +95,7 @@ class Trajectory:
         return self.times.shape[0]
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg, y_eq=None) -> float:
+def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg, y_eq) -> float:
     # Measuring error relative to the deviation from the equilibrium (when
     # it is known) lets the step control resolve the approach to settling;
     # a plain |y| scale would put a rel_tol * |theta*| noise floor on ||z||.
@@ -162,40 +162,6 @@ def _hermite(y0, y1, f0, f1, h, s):
     return ((a * s + b) * s + h * f0) * s + y0
 
 
-def integrate_field(
-    f: Callable,
-    y0: np.ndarray,
-    t0: float,
-    t1: float,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-12,
-    initial_step: float = 1e-4,
-    max_step: float = np.inf,
-) -> tuple[float, np.ndarray]:
-    """Generic adaptive driver for dy/dt = f(t, y); returns (t1, y(t1)).
-
-    Used directly only for integrator sanity checks; the flow loop below
-    adds recording, settling, and singularity control on top of the same
-    stepper.
-    """
-    cfg_scale = type("S", (), {"rel_tol": rel_tol, "abs_tol": abs_tol})()
-    t, y = t0, np.asarray(y0, dtype=float)
-    h = min(initial_step, t1 - t0, max_step)
-    k1 = f(t, y)
-    while t < t1:
-        h = min(h, t1 - t, max_step)
-        y_new, err, k_last = dopri5_step(f, t, y, h, k1)
-        en = _error_norm(err, y, y_new, cfg_scale)
-        if en <= 1.0:
-            t, y, k1 = t + h, y_new, k_last
-            h *= min(5.0, max(0.2, 0.9 * (en + 1e-16) ** -0.2))
-        else:
-            h *= max(0.2, 0.9 * en ** -0.2)
-            if h < 1e-16:
-                raise IntegrationError(f"step underflow at t={t}")
-    return t, y
-
-
 def integrate(
     state0: FlowState,
     params: FlowParams,
@@ -214,11 +180,6 @@ def integrate(
     if objective.optimum is not None:
         y_eq = np.concatenate([objective.theta_star, np.zeros(n)])
 
-    alpha, beta, gamma, kappa = params.alpha, params.beta, params.gamma, params.kappa
-    singular_tol = config.singular_tol
-    have_fstar = objective.optimum is not None
-    f_star = objective.f_star if have_fstar else 0.0
-
     def grad_of(y):
         g = objective.grad(y[:n])
         if not np.all(np.isfinite(g)):
@@ -226,22 +187,7 @@ def integrate(
         return g
 
     gradient = objective.gradient
-
-    def field(t, y):
-        g = gradient(y[:n])
-        v = y[n:]
-        znorm = np.sqrt(np.dot(g, g) + np.dot(v, v))
-        if znorm <= singular_tol:
-            return np.zeros(2 * n)
-        if not np.isfinite(znorm):
-            # overflow on a trial stage: hand back an inf field so the
-            # error control rejects the step instead of aborting
-            return np.full(2 * n, np.inf)
-        s = znorm ** alpha
-        out = np.empty(2 * n)
-        out[:n] = s * (beta * v - (1.0 - beta) * g)
-        out[n:] = (-kappa * s) * (gamma * g + (1.0 - gamma) * v)
-        return out
+    field = flow_field(params, gradient, n, config.singular_tol)
 
     def znorm_of(y):
         g = grad_of(y)
@@ -412,14 +358,8 @@ def integrate(
     vnorms2 = np.array(vnorms2)
     znorms = np.array(znorms)
 
-    f_ref = f_star if have_fstar else float(np.min(fs))
-    V = fs - f_ref + (beta / (2.0 * gamma * kappa)) * vnorms2
-    with np.errstate(divide="ignore"):
-        scale = np.where(znorms > singular_tol, znorms ** alpha, 0.0)
-    Vdot = -scale * ((1.0 - beta) * gnorms2 + (beta * (1.0 - gamma) / gamma) * vnorms2)
-    energy_channel = None
-    if params.conservative:
-        energy_channel = 0.5 * vnorms2 + kappa * (fs - f_ref)
+    f_ref = objective.f_star if objective.optimum is not None else float(np.min(fs))
+    V, Vdot, H = lyapunov(params, fs - f_ref, gnorms2, vnorms2, znorms, config.singular_tol)
 
     return Trajectory(
         times=times,
@@ -429,7 +369,7 @@ def integrate(
         V=V,
         Vdot=Vdot,
         z_norm=znorms,
-        energy=energy_channel,
+        energy=H if params.conservative else None,
         settled_at=settled_at,
         terminated_reason=reason,
         params=params,

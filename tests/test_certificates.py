@@ -21,14 +21,16 @@ from ftflow.certificates import (
     structural_case,
     verify_power_bound,
 )
+from ftflow.experiments import expand, preset
 from ftflow.flow import (
     FlowParams,
     FlowState,
     conservative_params,
     heavy_ball_params,
+    lyapunov,
     pi_params,
 )
-from ftflow.integrate import Trajectory
+from ftflow.integrate import Trajectory, integrate
 from ftflow.objectives import DominanceEstimate, p_power, quadratic
 
 INTERIOR = FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0)
@@ -79,6 +81,34 @@ class TestLyapunov:
         obj = quadratic([1.0, 1.0])
         state = FlowState(theta=np.zeros(2), v=np.zeros(2))
         assert lyapunov_vdot(state, INTERIOR, obj) == 0.0
+
+    @pytest.mark.parametrize(
+        "sweep_name, label", [("fig2", "fig2-p1.5"), ("fig1-right", "fig1-right-pi")]
+    )
+    def test_trajectory_channels_match_single_state_functions(self, sweep_name, label):
+        # the integrator's V/Vdot channels and lyapunov_v/lyapunov_vdot
+        # must be one formula, sample by sample
+        (cfg,) = [m for m in expand(preset(sweep_name)) if m.label == label]
+        obj = cfg.objective()
+        traj = integrate(cfg.initial_state(), cfg.flow, obj, cfg.integrator)
+        states = [traj.state_at(i) for i in range(len(traj))]
+        V = [lyapunov_v(s, cfg.flow, obj) for s in states]
+        Vdot = [lyapunov_vdot(s, cfg.flow, obj) for s in states]
+        np.testing.assert_allclose(traj.V, V, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(traj.Vdot, Vdot, rtol=1e-12, atol=0.0)
+
+    def test_energy_channel_matches_formula(self):
+        cfg = preset("conservative")
+        obj = cfg.objective()
+        traj = integrate(cfg.initial_state(), cfg.flow, obj, cfg.integrator)
+        H = []
+        for i in range(len(traj)):
+            s = traj.state_at(i)
+            g = obj.grad(s.theta)
+            g2, v2 = float(np.dot(g, g)), float(np.dot(s.v, s.v))
+            f_gap = obj.f(s.theta) - obj.f_star
+            H.append(float(lyapunov(cfg.flow, f_gap, g2, v2, np.sqrt(g2 + v2))[2]))
+        np.testing.assert_allclose(traj.energy, H, rtol=1e-12, atol=0.0)
 
     def test_cross_term(self):
         obj = quadratic([1.0, 1.0])

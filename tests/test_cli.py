@@ -11,6 +11,15 @@ def invoke(args):
     return main(args)
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as strict parsers do."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         assert invoke([]) == 1
@@ -132,10 +141,11 @@ class TestSweep:
         captured = capsys.readouterr()
         assert "3 members, 2 settled" in captured.out
         assert captured.err.startswith("error: ")
-        combined = json.loads((tmp_path / "fig2.sweep.json").read_text())
+        combined = strict_json((tmp_path / "fig2.sweep.json").read_text())
         assert [m["label"] for m in combined] == ["good", "bad", "after"]
         assert [m["error"] is None for m in combined] == [True, False, True]
-        assert json.loads((tmp_path / "bad.summary.json").read_text()) == combined[1]
+        assert strict_json((tmp_path / "bad.summary.json").read_text()) == combined[1]
+        assert combined[1]["final_f_gap"] is None and combined[1]["final_state_error"] is None
         assert not (tmp_path / "bad.csv").exists()
         for label in ("good", "after"):
             assert (tmp_path / f"{label}.csv").exists()

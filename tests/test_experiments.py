@@ -140,6 +140,21 @@ class TestRun:
         assert loaded["label"] == "unit"
         assert loaded["certificate"]["a"] == pytest.approx(0.6, abs=0.05)
 
+    def test_missing_certificate_and_verdict_say_why(self, monkeypatch):
+        _, summary = run(preset("conservative"))
+        assert summary.certificate is None
+        assert summary.certificate_error
+        assert summary.admissibility_error is None
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("no dominance estimate")
+
+        monkeypatch.setattr("ftflow.experiments.estimate_dominance", broken)
+        _, summary = run(PPOWER_CFG)
+        assert summary.admissibility is None
+        assert summary.admissibility_error == "RuntimeError: no dominance estimate"
+        assert summary.certificate is not None and summary.certificate_error is None
+
     def test_sweep_captures_member_errors(self):
         cfg = ExperimentConfig(
             objective_name="ppower",

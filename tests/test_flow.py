@@ -9,11 +9,11 @@ from ftflow.flow import (
     FlowParams,
     FlowState,
     conservative_params,
-    energy,
+    flow_field,
     heavy_ball_params,
+    lyapunov,
     pi_params,
     stacked,
-    vector_field,
 )
 from ftflow.objectives import p_power, quadratic, rosenbrock
 
@@ -75,6 +75,20 @@ class TestFlowState:
             FlowState(theta=np.zeros(2), v=np.zeros(3))
 
 
+def _field_at(state, params, objective):
+    """(theta', v') of the flow kernel at one state."""
+    field = flow_field(params, objective.gradient, state.dim)
+    out = field(0.0, np.concatenate([state.theta, state.v]))
+    return out[: state.dim], out[state.dim :]
+
+
+def _lyapunov_at(state, params, objective):
+    g = objective.grad(state.theta)
+    g2, v2 = float(np.dot(g, g)), float(np.dot(state.v, state.v))
+    f_gap = objective.f(state.theta) - objective.f_star
+    return lyapunov(params, f_gap, g2, v2, np.sqrt(g2 + v2))
+
+
 class TestVectorField:
     @given(
         alpha=st.floats(min_value=-1.0, max_value=0.0),
@@ -92,7 +106,7 @@ class TestVectorField:
         objective = quadratic([1.0, 2.0])
         g = objective.grad(state.theta)
         znorm = float(np.sqrt(np.dot(g, g) + np.dot(state.v, state.v)))
-        dtheta, dv = vector_field(state, params, objective)
+        dtheta, dv = _field_at(state, params, objective)
         if znorm <= DEFAULT_SINGULAR_TOL:
             assert np.all(dtheta == 0.0) and np.all(dv == 0.0)
             return
@@ -108,21 +122,23 @@ class TestVectorField:
         objective = rosenbrock()
         state = FlowState(theta=objective.theta_star, v=np.zeros(2))
         params = FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0)
-        dtheta, dv = vector_field(state, params, objective)
+        dtheta, dv = _field_at(state, params, objective)
         assert np.all(dtheta == 0.0) and np.all(dv == 0.0)
 
-    def test_dimension_mismatch(self):
-        state = FlowState(theta=np.zeros(3), v=np.zeros(3))
+    def test_zero_inside_singular_ball_and_inf_on_overflow(self):
         params = FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0)
-        with pytest.raises(FlowError):
-            vector_field(state, params, rosenbrock())
+        field = flow_field(params, lambda theta: theta, 1, singular_tol=1e-6)
+        np.testing.assert_array_equal(field(0.0, np.array([3e-7, 4e-7])), [0.0, 0.0])
+        assert np.all(field(0.0, np.array([1e-6, 2e-6])) != 0.0)
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(field(0.0, np.array([1e308, 1e308])), [np.inf, np.inf])
 
     def test_descent_direction_for_pure_gradient_mix(self):
         # beta small: theta' is dominated by -grad f, so f decreases
         objective = p_power(2.0)
         state = FlowState(theta=np.array([1.0, 1.0]), v=np.zeros(2))
         params = FlowParams(alpha=-0.5, beta=0.05, gamma=0.5, kappa=1.0)
-        dtheta, _ = vector_field(state, params, objective)
+        dtheta, _ = _field_at(state, params, objective)
         assert float(np.dot(dtheta, objective.grad(state.theta))) < 0.0
 
 
@@ -137,14 +153,11 @@ class TestStackedAndEnergy:
     def test_energy_zero_at_equilibrium(self):
         objective = quadratic([1.0, 1.0])
         state = FlowState(theta=np.zeros(2), v=np.zeros(2))
-        assert energy(state, objective, kappa=1.0) == 0.0
+        V, Vdot, H = _lyapunov_at(state, conservative_params(alpha=-0.5, kappa=1.0), objective)
+        assert H == 0.0 and V == 0.0 and Vdot == 0.0
 
     def test_energy_value(self):
         objective = quadratic([1.0, 1.0])
         state = FlowState(theta=np.array([1.0, 0.0]), v=np.array([2.0, 0.0]))
-        assert energy(state, objective, kappa=3.0) == pytest.approx(0.5 * 4.0 + 3.0 * 0.5)
-
-    def test_energy_rejects_bad_kappa(self):
-        state = FlowState(theta=np.zeros(2), v=np.zeros(2))
-        with pytest.raises(FlowError):
-            energy(state, quadratic([1.0, 1.0]), kappa=0.0)
+        _, _, H = _lyapunov_at(state, conservative_params(alpha=-0.5, kappa=3.0), objective)
+        assert H == pytest.approx(0.5 * 4.0 + 3.0 * 0.5)

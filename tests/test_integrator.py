@@ -8,7 +8,6 @@ from ftflow.integrate import (
     detect_settling,
     dopri5_step,
     integrate,
-    integrate_field,
 )
 from ftflow.objectives import p_power, quadratic, rosenbrock
 
@@ -71,16 +70,6 @@ class TestStepper:
             estimates.append(abs(float(err[0])))
         assert 20.0 < estimates[0] / estimates[1] < 50.0
 
-    def test_generic_driver_exponential_decay(self):
-        t1, y1 = integrate_field(lambda t, y: -y, np.array([1.0]), 0.0, 1.0)
-        assert t1 == pytest.approx(1.0)
-        assert float(y1[0]) == pytest.approx(np.exp(-1.0), rel=1e-8)
-
-    def test_generic_driver_harmonic_oscillator(self):
-        f = lambda t, y: np.array([y[1], -y[0]])
-        _, y1 = integrate_field(f, np.array([1.0, 0.0]), 0.0, 2.0 * np.pi)
-        np.testing.assert_allclose(y1, [1.0, 0.0], atol=1e-6)
-
 
 class TestIntegrateFlow:
     def test_unscaled_linear_flow_matches_closed_form(self):
@@ -139,6 +128,17 @@ class TestIntegrateFlow:
         )
         assert traj.energy is not None
         assert traj.settled_at is None
+
+    def test_conservative_quadratic_is_harmonic_oscillator(self):
+        # alpha = 0, beta = gamma = kappa = 1 on ||theta||^2/2: theta' = v,
+        # v' = -theta, so one period 2 pi returns to the start
+        state = FlowState(theta=np.array([1.0, 0.0]), v=np.zeros(2))
+        cfg = IntegratorConfig(t_max=2.0 * np.pi)
+        traj = integrate(
+            state, conservative_params(alpha=0.0, kappa=1.0), quadratic([1.0, 1.0]), cfg
+        )
+        assert traj.times[-1] == pytest.approx(2.0 * np.pi, rel=1e-15)
+        np.testing.assert_allclose(traj.states[-1], [1.0, 0.0, 0.0, 0.0], atol=1e-6)
 
     def test_trajectory_views(self):
         traj = ppower_traj(-0.8)
