@@ -36,7 +36,6 @@ from .integrate import (
     IntegratorConfig,
     IntegrationError,
     Trajectory,
-    detect_settling,
     integrate,
 )
 from .certificates import (

@@ -44,16 +44,6 @@ class SchurReport:
     chosen_epsilon: float
     chosen_sigma: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "matrix_id": self.matrix_id,
-            "block_entries": list(self.block_entries),
-            "min_eig": self.min_eig,
-            "pd": self.pd,
-            "chosen_epsilon": self.chosen_epsilon,
-            "chosen_sigma": self.chosen_sigma,
-        }
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -65,20 +55,6 @@ class AdmissibilityReport:
     hessian_evidence: Optional[tuple[float, float]]
     verdict: str  # certified | not_certified | evidence_insufficient
     reason: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "alpha": self.alpha,
-            "alpha_interval": list(self.alpha_interval),
-            "structural_case": self.structural_case,
-            "hessian_requirement": self.hessian_requirement,
-            "hessian_evidence": list(self.hessian_evidence)
-            if self.hessian_evidence is not None
-            else None,
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import islice
 from pathlib import Path
 
@@ -32,6 +32,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentError,
     PRESET_NAMES,
+    dominance_evidence,
     export_trajectory,
     flow_from_dict,
     load_config,
@@ -42,15 +43,7 @@ from .experiments import (
 )
 from .flow import FlowError, FlowParams
 from .integrate import IntegrationError
-from .objectives import (
-    ObjectiveError,
-    estimate_dominance,
-    estimate_smoothness,
-    fd_gradient,
-    hessian_definiteness,
-    make_objective,
-    shell_samples,
-)
+from .objectives import ObjectiveError, estimate_smoothness, fd_gradient, make_objective
 
 USAGE_EXIT = 1
 CONFIG_EXIT = 2
@@ -213,18 +206,16 @@ def _cmd_sweep(args) -> int:
 def _cmd_certify(args) -> int:
     objective = _objective_from_args(args)
     flow = _flow_from_args(args)
-    samples = shell_samples(objective, count=64, seed=0)
-    dominance = estimate_dominance(objective, samples)
-    evidence = hessian_definiteness(objective, samples)
+    samples, dominance, evidence = dominance_evidence(objective)
     report = check_admissibility(flow, dominance, evidence)
     L = estimate_smoothness(
         objective, [(samples[i], samples[i + 1]) for i in range(len(samples) - 1)]
     ).L
-    payload = {"admissibility": report.to_dict(), "schur": []}
+    payload = {"admissibility": asdict(report), "schur": []}
     try:
         m = evidence[0] if evidence[0] > 0 else None
         eps, sigma, schur_reports = select_epsilon_sigma(flow, L=L, m=m)
-        payload["schur"] = [r.to_dict() for r in schur_reports]
+        payload["schur"] = [asdict(r) for r in schur_reports]
         payload["epsilon"] = eps
         payload["sigma"] = sigma
     except CertificateError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -27,6 +27,7 @@ from .certificates import (
 from .flow import FlowParams, FlowState, conservative_params
 from .integrate import IntegratorConfig, Trajectory, integrate
 from .objectives import (
+    DominanceEstimate,
     Objective,
     estimate_dominance,
     hessian_definiteness,
@@ -97,6 +98,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if int(d.get("schema_version", SCHEMA_VERSION)) != SCHEMA_VERSION:
         raise ExperimentError(f"unsupported schema_version {d.get('schema_version')}")
     integ = d.get("integrator", {})
+    unknown = set(integ) - {f.name for f in fields(IntegratorConfig)}
+    if unknown:
+        raise ExperimentError(f"unknown integrator keys {sorted(unknown)}")
     return ExperimentConfig(
         objective_name=d["objective"]["name"],
         objective_params=dict(d["objective"].get("params", {})),
@@ -141,6 +145,17 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def dominance_evidence(
+    objective: Objective,
+) -> tuple[list[np.ndarray], DominanceEstimate, tuple[float, float]]:
+    """The evidence behind an admissibility verdict: shell samples drawn
+    with DOMINANCE_SEED, the dominance estimate and the extreme Hessian
+    eigenvalues on them.  `run` and `ftflow certify` both use it, so they
+    reach the same verdict for the same flow."""
+    samples = shell_samples(objective, count=64, seed=DOMINANCE_SEED)
+    return samples, estimate_dominance(objective, samples), hessian_definiteness(objective, samples)
+
+
 def run(config: ExperimentConfig) -> tuple[Trajectory, RunSummary]:
     """Integrate one config and summarize it.
 
@@ -169,9 +184,7 @@ def run(config: ExperimentConfig) -> tuple[Trajectory, RunSummary]:
 
     admissibility = admissibility_error = None
     try:
-        samples = shell_samples(objective, count=64, seed=DOMINANCE_SEED)
-        dominance = estimate_dominance(objective, samples)
-        evidence = hessian_definiteness(objective, samples)
+        _, dominance, evidence = dominance_evidence(objective)
         admissibility = check_admissibility(config.flow, dominance, evidence)
     except Exception as exc:
         admissibility_error = _describe(exc)
@@ -338,65 +351,58 @@ def _fig2_base(p: float, **kw) -> ExperimentConfig:
     )
 
 
-def preset(name: str) -> ExperimentConfig:
-    """Look up a named reproduction preset."""
-    key = name.lower()
-    if key == "fig1-left":
-        return _fig1_base(
+def _presets() -> dict[str, ExperimentConfig]:
+    """Every named preset: the three sweeps, each of their members, and
+    the conservative run."""
+    sweeps = (
+        _fig1_base(
             label="fig1-left",
             sweep=tuple(
                 {"alpha": a, "label": f"fig1-left-a{str(abs(a)).replace('0.', '0')}"}
                 for a in (-0.25, -0.5, -0.75)
             ),
-        )
-    if key in ("fig1-left-a025", "fig1-left-a05", "fig1-left-a075"):
-        alpha = {"fig1-left-a025": -0.25, "fig1-left-a05": -0.5, "fig1-left-a075": -0.75}[key]
-        cfg = _fig1_base(label=key)
-        return replace(cfg, flow=replace(cfg.flow, alpha=alpha))
-    if key == "fig1-right":
-        return _fig1_base(
+        ),
+        _fig1_base(
             label="fig1-right",
             sweep=(
                 {"beta": 1.0, "gamma": 0.5, "label": "fig1-right-heavyball"},
                 {"beta": 0.5, "gamma": 1.0, "label": "fig1-right-pi"},
                 {"beta": 0.5, "gamma": 0.5, "label": "fig1-right-interior"},
             ),
-        )
-    if key == "fig2":
-        return _fig2_base(
+        ),
+        _fig2_base(
             p=2.0,
             label="fig2",
             sweep=tuple(
                 {"objective_params": {"p": p}, "label": f"fig2-p{p:g}"}
                 for p in (1.5, 2.0, 3.0)
             ),
-        )
-    if key in ("fig2-p1.5", "fig2-p2", "fig2-p3"):
-        p = float(key.split("fig2-p")[1])
-        return _fig2_base(p=p, label=key)
-    if key == "conservative":
-        return ExperimentConfig(
-            objective_name="quadratic",
-            objective_params={"diag": [1.0, 1.0]},
-            theta0=(1.0, 0.0),
-            flow=conservative_params(alpha=0.0, kappa=1.0),
-            integrator=IntegratorConfig(
-                rel_tol=1e-10, abs_tol=1e-13, t_max=50.0, settle_tol=1e-9, record_stride=0.05
-            ),
-            label="conservative",
-        )
-    raise ExperimentError(f"unknown preset {name!r}")
+        ),
+    )
+    named = {}
+    for cfg in sweeps:
+        named[cfg.label] = cfg
+        named.update((member.label, member) for member in expand(cfg))
+    named["conservative"] = ExperimentConfig(
+        objective_name="quadratic",
+        objective_params={"diag": [1.0, 1.0]},
+        theta0=(1.0, 0.0),
+        flow=conservative_params(alpha=0.0, kappa=1.0),
+        integrator=IntegratorConfig(
+            rel_tol=1e-10, abs_tol=1e-13, t_max=50.0, settle_tol=1e-9, record_stride=0.05
+        ),
+        label="conservative",
+    )
+    return named
 
 
-PRESET_NAMES = (
-    "fig1-left",
-    "fig1-left-a025",
-    "fig1-left-a05",
-    "fig1-left-a075",
-    "fig1-right",
-    "fig2",
-    "fig2-p1.5",
-    "fig2-p2",
-    "fig2-p3",
-    "conservative",
-)
+def preset(name: str) -> ExperimentConfig:
+    """Look up a named reproduction preset: a sweep, one of its members,
+    or the conservative run."""
+    try:
+        return _presets()[name.lower()]
+    except KeyError:
+        raise ExperimentError(f"unknown preset {name!r}") from None
+
+
+PRESET_NAMES = tuple(_presets())

@@ -7,7 +7,7 @@ The flow couples a decision variable theta and a momentum variable v:
 
 where z stacks the gradient and the momentum.  With alpha < 0 the field
 is non-Lipschitz at the equilibrium; it is continuously extended by zero
-inside a small ball ||z|| <= singular_tol.  `flow_field` is the one
+inside a small ball ||z|| <= SINGULAR_TOL.  `flow_field` is the one
 implementation of the field and `lyapunov` the one formula for V, its
 derivative and the energy; the integrator and the certificates call both.
 """
@@ -21,7 +21,7 @@ import numpy as np
 
 from .objectives import Objective
 
-DEFAULT_SINGULAR_TOL = 1e-13
+SINGULAR_TOL = 1e-13
 
 
 class FlowError(ValueError):
@@ -132,14 +132,11 @@ def stacked(state: FlowState, objective: Objective) -> StackedGradientMomentum:
 
 
 def flow_field(
-    params: FlowParams,
-    gradient: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    singular_tol: float = DEFAULT_SINGULAR_TOL,
+    params: FlowParams, gradient: Callable[[np.ndarray], np.ndarray], n: int
 ) -> Callable[[float, np.ndarray], np.ndarray]:
     """The flow as dy/dt = field(t, y) on the flat state y = [theta, v].
 
-    The field is exactly zero whenever ||z|| <= singular_tol: for
+    The field is exactly zero whenever ||z|| <= SINGULAR_TOL: for
     alpha > -1 this is the continuous extension at the equilibrium, and
     it makes the equilibrium an exact fixed point of any integrator.
     `gradient` is called once per evaluation and is not checked for
@@ -151,7 +148,7 @@ def flow_field(
         g = gradient(y[:n])
         v = y[n:]
         znorm = np.sqrt(np.dot(g, g) + np.dot(v, v))
-        if znorm <= singular_tol:
+        if znorm <= SINGULAR_TOL:
             return np.zeros(2 * n)
         if not np.isfinite(znorm):
             # overflow on a trial stage: hand back an inf field so the
@@ -166,15 +163,13 @@ def flow_field(
     return field
 
 
-def lyapunov(
-    params: FlowParams, f_gap, g2, v2, znorm, singular_tol: float = DEFAULT_SINGULAR_TOL
-):
+def lyapunov(params: FlowParams, f_gap, g2, v2, znorm):
     """(V, dV/dt, H) from f - f_ref, ||grad f||^2, ||v||^2 and ||z||.
 
     V = f_gap + beta/(2 gamma kappa) ||v||^2 is the Lyapunov function,
     dV/dt = -||z||^alpha [(1-beta)||grad f||^2 + beta(1-gamma)/gamma ||v||^2]
     its derivative along the flow (0 where the field is zero, at
-    ||z|| <= singular_tol), and H = ||v||^2/2 + kappa f_gap the energy,
+    ||z|| <= SINGULAR_TOL), and H = ||v||^2/2 + kappa f_gap the energy,
     invariant along conservative (beta = gamma = 1) flows.  Inputs may be
     scalars or arrays of samples; V depends only on (f_gap, v2), dV/dt
     only on (g2, v2, znorm).
@@ -183,7 +178,7 @@ def lyapunov(
     V = f_gap + (beta / (2.0 * gamma * kappa)) * v2
     znorm = np.asarray(znorm, dtype=float)
     with np.errstate(divide="ignore"):
-        scale = np.where(znorm > singular_tol, znorm ** alpha, 0.0)
+        scale = np.where(znorm > SINGULAR_TOL, znorm ** alpha, 0.0)
     Vdot = -scale * ((1.0 - beta) * g2 + (beta * (1.0 - gamma) / gamma) * v2)
     H = 0.5 * v2 + kappa * f_gap
     return V, Vdot, H

@@ -11,13 +11,13 @@ frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .flow import DEFAULT_SINGULAR_TOL, FlowParams, FlowState, flow_field, lyapunov
+from .flow import SINGULAR_TOL, FlowParams, FlowState, flow_field, lyapunov
 from .objectives import Objective
 
 
@@ -33,24 +33,27 @@ _B4 = np.array(
 )
 _E = _B5 - _B4
 
+INITIAL_STEP = 1e-4
+MIN_STEP = 1e-14
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """Tolerances, horizon and recording grid of one integration.
+
+    Steps are capped by record_stride (every accepted step is recorded)
+    and by the time left to t_max.
+    """
+
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    initial_step: float = 1e-4
-    min_step: float = 1e-14
-    max_step: float = 1.0
     t_max: float = 50.0
     settle_tol: float = 1e-9
     record_stride: float = 0.05
-    singular_tol: float = DEFAULT_SINGULAR_TOL
 
     def __post_init__(self):
-        if not (0.0 < self.min_step <= self.initial_step <= self.max_step):
-            raise ValueError("need 0 < min_step <= initial_step <= max_step")
-        if self.settle_tol <= self.singular_tol:
-            raise ValueError("settle_tol must exceed the field's singular_tol")
+        if self.settle_tol <= SINGULAR_TOL:
+            raise ValueError("settle_tol must exceed the field's SINGULAR_TOL")
         if self.t_max <= 0.0 or self.record_stride <= 0.0:
             raise ValueError("t_max and record_stride must be positive")
         for name in ("rel_tol", "abs_tol"):
@@ -77,7 +80,6 @@ class Trajectory:
     energy: Optional[np.ndarray]
     settled_at: Optional[float]
     terminated_reason: str  # settled | horizon | step_underflow
-    params: FlowParams = field(repr=False, default=None)
 
     def state_at(self, idx: int) -> FlowState:
         row = self.states[idx]
@@ -96,15 +98,13 @@ class Trajectory:
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg, y_eq) -> float:
-    # Measuring error relative to the deviation from the equilibrium (when
-    # it is known) lets the step control resolve the approach to settling;
-    # a plain |y| scale would put a rel_tol * |theta*| noise floor on ||z||.
-    # The deviation norm is used as one scalar scale so that components
-    # momentarily crossing the equilibrium are not over-resolved.
-    if y_eq is not None:
-        dev = max(np.linalg.norm(y0 - y_eq), np.linalg.norm(y1 - y_eq))
-    else:
-        dev = max(np.linalg.norm(y0), np.linalg.norm(y1))
+    # Measuring error relative to the deviation from the equilibrium (the
+    # origin when none is registered) lets the step control resolve the
+    # approach to settling; a plain |y| scale would put a rel_tol * |theta*|
+    # noise floor on ||z||.  The deviation norm is used as one scalar scale
+    # so that components momentarily crossing the equilibrium are not
+    # over-resolved.
+    dev = max(np.linalg.norm(y0 - y_eq), np.linalg.norm(y1 - y_eq))
     scale = cfg.abs_tol + cfg.rel_tol * dev
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
@@ -176,21 +176,15 @@ def integrate(
     n = state0.dim
     if n != objective.dim:
         raise IntegrationError("state/objective dimension mismatch")
-    y_eq = None
+    y_eq = np.zeros(2 * n)
     if objective.optimum is not None:
-        y_eq = np.concatenate([objective.theta_star, np.zeros(n)])
+        y_eq[:n] = objective.theta_star
+    field = flow_field(params, objective.gradient, n)
 
-    def grad_of(y):
+    def znorm_of(y):
         g = objective.grad(y[:n])
         if not np.all(np.isfinite(g)):
             raise IntegrationError(f"non-finite gradient at theta={y[:n]}")
-        return g
-
-    gradient = objective.gradient
-    field = flow_field(params, gradient, n, config.singular_tol)
-
-    def znorm_of(y):
-        g = grad_of(y)
         v = y[n:]
         return float(np.sqrt(np.dot(g, g) + np.dot(v, v))), g
 
@@ -220,7 +214,7 @@ def integrate(
         settled_at = 0.0
         reason = "settled"
     else:
-        h = config.initial_step
+        h = INITIAL_STEP
         k1 = field(t, y)
         if not np.all(np.isfinite(k1)):
             raise IntegrationError(f"non-finite field at t={t}, state={y}")
@@ -252,11 +246,14 @@ def integrate(
             ):
                 stalled = True
                 break
-            h = min(h, config.max_step, config.record_stride, config.t_max - t)
-            if h < config.min_step:
-                h = min(config.min_step, config.t_max - t)
+            h = min(h, config.record_stride, config.t_max - t)
+            if h < MIN_STEP:
+                h = min(MIN_STEP, config.t_max - t)
             y_new, err, k_last = dopri5_step(field, t, y, h, k1)
             en = _error_norm(err, y, y_new, config, y_eq)
+            # grows an accepted step and shrinks one the error control
+            # rejects (en > 1 keeps it below 0.9); NaN or inf en gives 0.2
+            factor = min(5.0, max(0.2, 0.9 * (en + 1e-16) ** -0.2))
             accept = en <= 1.0
             z_new = None
             if accept:
@@ -269,8 +266,8 @@ def integrate(
                         h *= max(0.1, 0.5 * 0.25 * z_cur / change)
             if not accept:
                 if z_new is None:
-                    h *= max(0.2, 0.9 * en ** -0.2)
-                if h < config.min_step:
+                    h *= factor
+                if h < MIN_STEP:
                     reason = "step_underflow"
                     break
                 continue
@@ -301,7 +298,7 @@ def integrate(
                 z_mark = z_new
                 attempts_mark = steps
             record(t, y, z_new, g_new)
-            h *= min(5.0, max(0.2, 0.9 * (en + 1e-16) ** -0.2))
+            h *= factor
             if t >= config.t_max:
                 reason = "horizon"
                 break
@@ -310,22 +307,18 @@ def integrate(
             # Hand the stiff remainder to an implicit solver.  Solving in
             # deviation coordinates (w = y - y_eq) keeps its relative error
             # scaling consistent with the settling resolution above.
-            shift = y_eq if y_eq is not None else np.zeros(2 * n)
-
             def field_dev(tt, w):
-                return field(tt, w + shift)
+                return field(tt, w + y_eq)
 
             def crossing(tt, w):
-                g = gradient(w[:n] + shift[:n])
-                v = w[n:] + shift[n:]
-                return float(np.sqrt(np.dot(g, g) + np.dot(v, v))) - config.settle_tol
+                return znorm_of(w + y_eq)[0] - config.settle_tol
 
             crossing.terminal = True
             crossing.direction = -1.0
             sol = solve_ivp(
                 field_dev,
                 (t, config.t_max),
-                y - shift,
+                y - y_eq,
                 method="Radau",
                 rtol=config.rel_tol,
                 atol=config.abs_tol,
@@ -339,10 +332,10 @@ def integrate(
             t_end = float(sol.t[-1])
             stride = config.record_stride / 4.0
             for tt in np.arange(t + stride, t_end, stride):
-                yy = sol.sol(tt) + shift
+                yy = sol.sol(tt) + y_eq
                 zz, gg = znorm_of(yy)
                 record(float(tt), yy, zz, gg)
-            y_end = sol.y[:, -1] + shift
+            y_end = sol.y[:, -1] + y_eq
             z_end, g_end = znorm_of(y_end)
             record(t_end, y_end, z_end, g_end)
             if sol.status == 1:
@@ -359,7 +352,7 @@ def integrate(
     znorms = np.array(znorms)
 
     f_ref = objective.f_star if objective.optimum is not None else float(np.min(fs))
-    V, Vdot, H = lyapunov(params, fs - f_ref, gnorms2, vnorms2, znorms, config.singular_tol)
+    V, Vdot, H = lyapunov(params, fs - f_ref, gnorms2, vnorms2, znorms)
 
     return Trajectory(
         times=times,
@@ -372,31 +365,4 @@ def integrate(
         energy=H if params.conservative else None,
         settled_at=settled_at,
         terminated_reason=reason,
-        params=params,
     )
-
-
-def detect_settling(traj: Trajectory, settle_tol: float) -> Optional[float]:
-    """Earliest recorded time after which ||z|| stays <= settle_tol.
-
-    The crossing is refined by log-linear interpolation between the
-    bracketing recorded samples (the integrator itself refines with
-    dense-output bisection; this operation works from the record alone).
-    """
-    if len(traj) < 2:
-        raise ValueError("trajectory needs at least 2 samples")
-    below = traj.z_norm <= settle_tol
-    if not below[-1]:
-        return None
-    # first index from which every sample is below tolerance
-    idx = len(below) - 1
-    while idx > 0 and below[idx - 1]:
-        idx -= 1
-    if idx == 0:
-        return float(traj.times[0])
-    z_hi, z_lo = traj.z_norm[idx - 1], traj.z_norm[idx]
-    t_hi, t_lo = traj.times[idx - 1], traj.times[idx]
-    if z_lo <= 0.0 or z_hi <= settle_tol:
-        return float(t_lo)
-    frac = (np.log(z_hi) - np.log(settle_tol)) / (np.log(z_hi) - np.log(z_lo))
-    return float(t_hi + frac * (t_lo - t_hi))

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,7 +207,7 @@ class TestAdmissibility:
         assert bad.verdict == "not_certified"
 
     def test_report_serializes(self):
-        d = check_admissibility(INTERIOR, self.dom(2.0)).to_dict()
+        d = json.loads(json.dumps(asdict(check_admissibility(INTERIOR, self.dom(2.0)))))
         assert d["verdict"] == "certified"
         assert d["alpha_interval"] == [-1.0, 0.0]
 

@@ -103,6 +103,15 @@ class TestRun:
         capsys.readouterr()
         assert code == 2
 
+    def test_unknown_integrator_key_is_config_error(self, tmp_path, capsys):
+        d = preset("fig2-p2").to_dict()
+        d["integrator"]["rtol"] = 1e-8
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        code = invoke(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "unknown integrator keys ['rtol']" in capsys.readouterr().err
+
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         code = invoke(
             ["run", "--config", str(tmp_path / "absent.json"), "--output-dir", str(tmp_path)]
@@ -198,6 +207,18 @@ class TestCertify:
         assert code == 0
         payload = json.loads((tmp_path / "certify.json").read_text())
         assert payload["admissibility"]["verdict"] == "not_certified"
+
+    def test_agrees_with_run(self, tmp_path, capsys):
+        # near alpha's admissible bound the verdict depends on the sampled
+        # dominance order p, so both commands must draw the same samples
+        flow = ["--objective", "rosenbrock", "--alpha", "-0.01", "--output-dir", str(tmp_path)]
+        assert invoke(["certify", *flow]) == 0
+        assert invoke(["run", *flow, "--t-max", "1"]) == 0
+        capsys.readouterr()
+        certified = json.loads((tmp_path / "certify.json").read_text())["admissibility"]
+        summary = json.loads((tmp_path / "rosenbrock.summary.json").read_text())
+        assert summary["admissibility"] == certified
+        assert certified["verdict"] == "certified"
 
 
 class TestGradcheckAndLemma:

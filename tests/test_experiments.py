@@ -52,19 +52,23 @@ class TestConfig:
         integrator = IntegratorConfig(
             rel_tol=1e-9,
             abs_tol=1e-11,
-            initial_step=1e-3,
-            min_step=1e-12,
-            max_step=0.5,
             t_max=20.0,
             settle_tol=1e-8,
             record_stride=0.01,
-            singular_tol=1e-12,
         )
         for f in fields(IntegratorConfig):
             assert getattr(integrator, f.name) != f.default, f.name
         cfg = replace(PPOWER_CFG, integrator=integrator)
         again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again.integrator == integrator
+
+    @pytest.mark.parametrize("key", ["initial_step", "min_step", "max_step", "singular_tol"])
+    def test_removed_integrator_key_is_config_error(self, key):
+        # configs written when IntegratorConfig had these fields carry them
+        d = PPOWER_CFG.to_dict()
+        d["integrator"][key] = 1.0
+        with pytest.raises(ExperimentError, match=key):
+            config_from_dict(d)
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftflow.flow import (
-    DEFAULT_SINGULAR_TOL,
     FlowError,
     FlowParams,
     FlowState,
+    SINGULAR_TOL,
     conservative_params,
     flow_field,
     heavy_ball_params,
@@ -107,7 +107,7 @@ class TestVectorField:
         g = objective.grad(state.theta)
         znorm = float(np.sqrt(np.dot(g, g) + np.dot(state.v, state.v)))
         dtheta, dv = _field_at(state, params, objective)
-        if znorm <= DEFAULT_SINGULAR_TOL:
+        if znorm <= SINGULAR_TOL:
             assert np.all(dtheta == 0.0) and np.all(dv == 0.0)
             return
         scale = znorm**alpha
@@ -127,9 +127,10 @@ class TestVectorField:
 
     def test_zero_inside_singular_ball_and_inf_on_overflow(self):
         params = FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0)
-        field = flow_field(params, lambda theta: theta, 1, singular_tol=1e-6)
-        np.testing.assert_array_equal(field(0.0, np.array([3e-7, 4e-7])), [0.0, 0.0])
-        assert np.all(field(0.0, np.array([1e-6, 2e-6])) != 0.0)
+        field = flow_field(params, lambda theta: theta, 1)
+        # ||z|| = 5e-14 lies inside the ball, sqrt(5) * 1e-13 just outside
+        np.testing.assert_array_equal(field(0.0, np.array([3e-14, 4e-14])), [0.0, 0.0])
+        assert np.all(field(0.0, np.array([1e-13, 2e-13])) != 0.0)
         with np.errstate(over="ignore"):
             np.testing.assert_array_equal(field(0.0, np.array([1e308, 1e308])), [np.inf, np.inf])
 

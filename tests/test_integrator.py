@@ -5,7 +5,6 @@ from ftflow.flow import FlowParams, FlowState, conservative_params
 from ftflow.integrate import (
     IntegrationError,
     IntegratorConfig,
-    detect_settling,
     dopri5_step,
     integrate,
 )
@@ -32,8 +31,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(min_step=0.0),
-            dict(initial_step=2.0, max_step=1.0),
             dict(settle_tol=1e-14),  # below the singular tolerance
             dict(t_max=0.0),
             dict(record_stride=0.0),
@@ -147,40 +144,3 @@ class TestIntegrateFlow:
         s = traj.state_at(0)
         np.testing.assert_allclose(s.theta, [1.0, 0.0])
         np.testing.assert_allclose(s.v, [0.0, 0.0])
-
-
-class TestDetectSettling:
-    def test_agrees_with_integrator(self):
-        traj = ppower_traj(-0.8)
-        t = detect_settling(traj, PP_CFG.settle_tol)
-        assert t is not None
-        assert t == pytest.approx(traj.settled_at, abs=0.02)
-
-    def test_none_when_not_settled(self):
-        traj = ppower_traj(0.0, t_max=5.0)
-        assert detect_settling(traj, 1e-9) is None
-
-    def test_threshold_dependence(self):
-        # a looser threshold must be crossed earlier
-        traj = ppower_traj(0.0, t_max=20.0)
-        t_loose = detect_settling(traj, 1e-3)
-        assert t_loose is not None
-        # closed form: e^(-t/2) = 1e-3 at t = 6 ln 10
-        assert t_loose == pytest.approx(6.0 * np.log(10.0), abs=0.05)
-
-    def test_needs_two_samples(self):
-        traj = ppower_traj(-0.8)
-        short = type(traj)(
-            times=traj.times[:1],
-            states=traj.states[:1],
-            dim=traj.dim,
-            f=traj.f[:1],
-            V=traj.V[:1],
-            Vdot=traj.Vdot[:1],
-            z_norm=traj.z_norm[:1],
-            energy=None,
-            settled_at=None,
-            terminated_reason="horizon",
-        )
-        with pytest.raises(ValueError):
-            detect_settling(short, 1e-9)
