@@ -31,6 +31,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
+            dict(t_max=-1.0),
+            dict(abs_tol=0.0),
             dict(settle_tol=1e-14),  # below the singular tolerance
             dict(t_max=0.0),
             dict(record_stride=0.0),
