@@ -217,57 +217,37 @@ def check_admissibility(
     p = dominance.p
     case = structural_case(params)
     lo, hi = alpha_interval(min(max(p, 1.0 + 1e-12), 4.0))
-    report = dict(
-        p=p,
-        alpha=params.alpha,
-        alpha_interval=(lo, hi),
-        structural_case=case,
-        hessian_evidence=hessian_evidence,
-    )
-
-    if not (1.0 < p <= 4.0):
-        return AdmissibilityReport(
-            hessian_requirement="none",
-            verdict="not_certified",
-            reason=f"dominance order p={p:.4g} outside (1, 4]",
-            **report,
-        )
-    if case == "conservative":
-        return AdmissibilityReport(
-            hessian_requirement="none",
-            verdict="not_certified",
-            reason="conservative configuration (beta = gamma = 1) cannot converge",
-            **report,
-        )
     requirement = {
         "interior": "none",
         "heavy_ball": "positive_definite",
         "pi": "uniformly_bounded_below",
+        "conservative": "none",
     }[case]
-    if not (lo <= params.alpha < hi):
+    verdict, reason = "not_certified", ""
+    if not (1.0 < p <= 4.0):
+        requirement = "none"
+        reason = f"dominance order p={p:.4g} outside (1, 4]"
+    elif case == "conservative":
+        reason = "conservative configuration (beta = gamma = 1) cannot converge"
+    elif not (lo <= params.alpha < hi):
         reason = f"alpha={params.alpha} outside [{lo}, {hi})"
         if hi <= lo:
             reason += " (empty interval at p = 4 boundary)"
-        return AdmissibilityReport(
-            hessian_requirement=requirement, verdict="not_certified", reason=reason, **report
-        )
-    if requirement != "none":
-        if hessian_evidence is None:
-            return AdmissibilityReport(
-                hessian_requirement=requirement,
-                verdict="evidence_insufficient",
-                reason="no sampled Hessian evidence supplied",
-                **report,
-            )
-        if hessian_evidence[0] <= 0.0:
-            return AdmissibilityReport(
-                hessian_requirement=requirement,
-                verdict="not_certified",
-                reason=f"sampled min Hessian eigenvalue {hessian_evidence[0]:.4g} <= 0",
-                **report,
-            )
+    elif requirement != "none" and hessian_evidence is None:
+        verdict, reason = "evidence_insufficient", "no sampled Hessian evidence supplied"
+    elif requirement != "none" and hessian_evidence[0] <= 0.0:
+        reason = f"sampled min Hessian eigenvalue {hessian_evidence[0]:.4g} <= 0"
+    else:
+        verdict = "certified"
     return AdmissibilityReport(
-        hessian_requirement=requirement, verdict="certified", **report
+        p=p,
+        alpha=params.alpha,
+        alpha_interval=(lo, hi),
+        structural_case=case,
+        hessian_requirement=requirement,
+        verdict=verdict,
+        reason=reason,
+        hessian_evidence=hessian_evidence,
     )
 
 

@@ -5,6 +5,11 @@ Flag names mirror the math symbols (--alpha, --beta, --gamma, --kappa,
 success, 1 usage error, 2 configuration error, 3 runtime or numerical
 failure.
 
+`run` and `sweep` take one source (--config, --preset or --objective),
+write the flags given over it and parse the result once, so an unknown key
+in any section is a configuration error.  `run` refuses a sweep; `sweep`
+refuses a flag naming a key its members set (--alpha on fig1-left).
+
 `sweep` and `repro` run their members in worker processes, one per usable
 CPU; this process writes every artifact in member order.  A failing member
 stops no other: its summary (no CSV) and `<label>.sweep.json` carry the
@@ -16,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 
@@ -29,19 +34,20 @@ from .certificates import (
     verify_power_bound,
 )
 from .experiments import (
+    FLOW_DEFAULTS,
+    PRESET_NAMES,
     ExperimentConfig,
     ExperimentError,
-    PRESET_NAMES,
+    config_from_dict,
     dominance_evidence,
     export_trajectory,
     flow_from_dict,
-    load_config,
     preset,
     run as run_experiment,
     sweep,
     write_summary,
 )
-from .flow import FlowError, FlowParams
+from .flow import FlowError
 from .integrate import IntegrationError
 from .objectives import ObjectiveError, estimate_smoothness, fd_gradient, make_objective
 
@@ -67,15 +73,16 @@ def _build_parser() -> _Parser:
         p.add_argument("--gamma", type=float, help="momentum damping weight in (0, 1]")
         p.add_argument("--kappa", type=float, help="momentum time-scaling factor > 0")
 
-    def add_objective_flags(p):
-        p.add_argument("--objective", help="rosenbrock | ppower | quadratic")
+    def add_objective_flags(p, source):
+        source.add_argument("--objective", help="rosenbrock | ppower | quadratic")
         p.add_argument("--p", type=float, help="p-power order (ppower objective)")
         p.add_argument("--dim", type=int, help="objective dimension (ppower)")
 
     def add_run_flags(p):
-        p.add_argument("--config", type=Path, help="JSON experiment config")
-        p.add_argument("--preset", choices=PRESET_NAMES, help="named preset")
-        add_objective_flags(p)
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", type=Path, help="JSON experiment config")
+        source.add_argument("--preset", choices=PRESET_NAMES, help="named preset")
+        add_objective_flags(p, source)
         add_flow_flags(p)
         p.add_argument("--t-max", type=float, help="integration horizon")
         p.add_argument("--settle-tol", type=float, help="settling threshold on ||z||")
@@ -88,12 +95,12 @@ def _build_parser() -> _Parser:
     add_run_flags(sub.add_parser("sweep", help="run a parameter sweep"))
 
     cert = sub.add_parser("certify", help="admissibility + Schur reports")
-    add_objective_flags(cert)
+    add_objective_flags(cert, cert)
     add_flow_flags(cert)
     cert.add_argument("--output-dir", type=Path, default=Path("out"))
 
     grad = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
-    add_objective_flags(grad)
+    add_objective_flags(grad, grad)
     grad.add_argument("--samples", type=int, default=100)
     grad.add_argument("--seed", type=int, default=0)
     grad.add_argument("--output-dir", type=Path, default=Path("out"))
@@ -110,51 +117,42 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_DEFAULT_FLOW = FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0)
-
-
-def _objective_params(args) -> dict:
-    return {key: getattr(args, key) for key in ("p", "dim") if getattr(args, key) is not None}
+def _flags(args, *names) -> dict:
+    """The named flags that were given, keyed by their config names."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _objective_from_args(args):
     if not args.objective:
         raise ObjectiveError("an --objective is required")
-    return make_objective(args.objective, _objective_params(args))
+    return make_objective(args.objective, _flags(args, "p", "dim"))
 
 
-def _flow_from_args(args, base: FlowParams = _DEFAULT_FLOW):
-    d = base.to_dict()
-    for key in d:
-        val = getattr(args, key, None)
-        if val is not None:
-            d[key] = val
-    return flow_from_dict(d)
-
-
-def _config_from_args(args):
+def _config_from_args(args) -> ExperimentConfig:
+    """The source's dict form with the given flags written over it, parsed
+    once; a flag naming a key that the sweep members set is refused."""
     if args.config is not None:
-        cfg = load_config(args.config)
+        d = json.loads(args.config.read_text())
     elif args.preset is not None:
-        cfg = preset(args.preset)
+        d = preset(args.preset).to_dict()
     else:
-        objective = _objective_from_args(args)
-        theta0 = args.theta0 or [1.0] + [0.0] * (objective.dim - 1)
-        cfg = ExperimentConfig(
-            objective_name=args.objective,
-            objective_params=_objective_params(args),
-            theta0=tuple(theta0),
-            flow=_DEFAULT_FLOW,
-            label=args.objective,
-        )
-    # flag overrides take precedence over config file values
-    cfg = replace(cfg, flow=_flow_from_args(args, cfg.flow))
-    integ = cfg.integrator
-    if args.t_max is not None:
-        integ = replace(integ, t_max=args.t_max)
-    if args.settle_tol is not None:
-        integ = replace(integ, settle_tol=args.settle_tol)
-    return replace(cfg, integrator=integ)
+        dim = _objective_from_args(args).dim
+        d = {
+            "label": args.objective,
+            "objective": {"name": args.objective},
+            "theta0": [1.0] + [0.0] * (dim - 1),
+            "flow": {},
+        }
+    params, flow = _flags(args, "p", "dim"), _flags(args, *FLOW_DEFAULTS)
+    overridden = {k for o in d.get("sweep", ()) for k in (*o, *o.get("objective_params", {}))}
+    clash = sorted(overridden & {*params, *flow})
+    if clash:
+        raise ExperimentError(f"the sweep members set {clash} themselves")
+    d["objective"].setdefault("params", {}).update(params)
+    d["flow"].update(flow)
+    d.setdefault("integrator", {}).update(_flags(args, "t_max", "settle_tol"))
+    d.update(_flags(args, "theta0"))
+    return config_from_dict(d)
 
 
 def _export_run(traj, summary, outdir: Path):
@@ -184,6 +182,8 @@ def _raise_member_error(summaries) -> None:
 
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
+    if cfg.sweep:
+        raise ExperimentError(f"{cfg.label!r} is a sweep; run it with `ftflow sweep`")
     traj, summary = run_experiment(cfg)
     _export_run(traj, summary, args.output_dir)
     settled = f"settled_at={summary.settled_at:.6g}" if summary.settled_at is not None else "no settling"
@@ -205,7 +205,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_certify(args) -> int:
     objective = _objective_from_args(args)
-    flow = _flow_from_args(args)
+    flow = flow_from_dict(_flags(args, *FLOW_DEFAULTS))
     samples, dominance, evidence = dominance_evidence(objective)
     report = check_admissibility(flow, dominance, evidence)
     L = estimate_smoothness(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -73,34 +73,46 @@ class ExperimentConfig:
             "schema_version": SCHEMA_VERSION,
             "label": self.label,
             "objective": {"name": self.objective_name, "params": dict(self.objective_params)},
-            "theta0": list(np.asarray(self.theta0, dtype=float)),
+            "theta0": np.asarray(self.theta0, dtype=float).tolist(),
             "flow": self.flow.to_dict(),
             "integrator": asdict(self.integrator),
         }
         if self.v0 is not None:
-            d["v0"] = list(np.asarray(self.v0, dtype=float))
+            d["v0"] = np.asarray(self.v0, dtype=float).tolist()
         if self.sweep:
             d["sweep"] = [dict(o) for o in self.sweep]
         return d
 
 
+FLOW_DEFAULTS = {"alpha": -0.5, "beta": 0.5, "gamma": 0.5, "kappa": 1.0}
+
+_CONFIG_KEYS = ("schema_version", "label", "objective", "theta0", "v0", "flow", "integrator", "sweep")
+
+
+def _check_keys(section: str, d: dict, allowed) -> None:
+    unknown = set(d) - set(allowed)
+    if unknown:
+        raise ExperimentError(f"unknown {section} keys {sorted(unknown)}")
+
+
 def flow_from_dict(d: dict) -> FlowParams:
-    alpha = float(d["alpha"])
-    beta = float(d.get("beta", 0.5))
-    gamma = float(d.get("gamma", 0.5))
-    kappa = float(d.get("kappa", 1.0))
-    if beta == 1.0 and gamma == 1.0:
-        return conservative_params(alpha=alpha, kappa=kappa)
-    return FlowParams(alpha=alpha, beta=beta, gamma=gamma, kappa=kappa)
+    """FlowParams from alpha, beta, gamma and kappa, defaulting to FLOW_DEFAULTS."""
+    _check_keys("flow", d, FLOW_DEFAULTS)
+    values = {key: float(d.get(key, default)) for key, default in FLOW_DEFAULTS.items()}
+    if values["beta"] == 1.0 and values["gamma"] == 1.0:
+        return conservative_params(alpha=values["alpha"], kappa=values["kappa"])
+    return FlowParams(**values)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    """The one parser of config files, presets, sweep members and CLI flags;
+    a key it does not read is an error (objective params: `make_objective`)."""
+    _check_keys("config", d, _CONFIG_KEYS)
     if int(d.get("schema_version", SCHEMA_VERSION)) != SCHEMA_VERSION:
         raise ExperimentError(f"unsupported schema_version {d.get('schema_version')}")
+    _check_keys("objective", d["objective"], ("name", "params"))
     integ = d.get("integrator", {})
-    unknown = set(integ) - {f.name for f in fields(IntegratorConfig)}
-    if unknown:
-        raise ExperimentError(f"unknown integrator keys {sorted(unknown)}")
+    _check_keys("integrator", integ, [f.name for f in fields(IntegratorConfig)])
     return ExperimentConfig(
         objective_name=d["objective"]["name"],
         objective_params=dict(d["objective"].get("params", {})),
@@ -204,31 +216,20 @@ def run(config: ExperimentConfig) -> tuple[Trajectory, RunSummary]:
 
 
 def expand(config: ExperimentConfig) -> list[ExperimentConfig]:
-    """Materialize one config per sweep override (flow fields, objective
-    params, and label may be overridden per member)."""
+    """Materialize one config per sweep override: the base config's dict form
+    with the override's label, objective params and flow keys written over it."""
     if not config.sweep:
         raise ExperimentError("config has no sweep overrides")
     members = []
     for i, override in enumerate(config.sweep):
         override = dict(override)
-        label = override.pop("label", f"{config.label}-{i}")
-        obj_params = dict(config.objective_params)
-        obj_params.update(override.pop("objective_params", {}))
-        flow_dict = config.flow.to_dict()
-        for key in ("alpha", "beta", "gamma", "kappa"):
-            if key in override:
-                flow_dict[key] = override.pop(key)
-        if override:
-            raise ExperimentError(f"unknown override keys {sorted(override)}")
-        members.append(
-            replace(
-                config,
-                flow=flow_from_dict(flow_dict),
-                objective_params=obj_params,
-                sweep=(),
-                label=label,
-            )
-        )
+        d = config.to_dict()
+        del d["sweep"]
+        d["label"] = override.pop("label", f"{config.label}-{i}")
+        d["objective"]["params"].update(override.pop("objective_params", {}))
+        _check_keys("override", override, FLOW_DEFAULTS)
+        d["flow"].update(override)
+        members.append(config_from_dict(d))
     return members
 
 

@@ -52,12 +52,13 @@ class IntegratorConfig:
     record_stride: float = 0.05
 
     def __post_init__(self):
-        if self.settle_tol <= SINGULAR_TOL:
+        # written so that NaN fails every check
+        if not self.settle_tol > SINGULAR_TOL:
             raise ValueError("settle_tol must exceed the field's SINGULAR_TOL")
-        if self.t_max <= 0.0 or self.record_stride <= 0.0:
-            raise ValueError("t_max and record_stride must be positive")
-        for name in ("rel_tol", "abs_tol"):
-            if getattr(self, name) <= 0.0:
+        if not 0.0 < self.t_max < np.inf:
+            raise ValueError("t_max must be positive and finite")
+        for name in ("record_stride", "rel_tol", "abs_tol"):
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
 

@@ -8,6 +8,7 @@ constant L and the gradient-dominance pair (p, mu).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -135,13 +136,14 @@ def rosenbrock() -> Objective:
     )
 
 
-def p_power(p: float, dim: int = 2) -> Objective:
+def p_power(p: float = 2.0, dim: int = 2) -> Objective:
     """f(theta) = ||theta||^p / p with minimizer 0.
 
     Gradient ||theta||^(p-2) theta; at the origin it is set to zero, the
     continuous extension (valid for any p > 1).
     """
-    if p <= 1.0:
+    p, dim = float(p), int(dim)
+    if not p > 1.0:
         raise ObjectiveError(f"p must exceed 1, got {p}")
     if dim < 1:
         raise ObjectiveError("dim must be >= 1")
@@ -174,10 +176,10 @@ def p_power(p: float, dim: int = 2) -> Objective:
     )
 
 
-def quadratic(diag) -> Objective:
+def quadratic(diag=(1.0, 1.0)) -> Objective:
     """f(theta) = theta^T diag(d) theta / 2 with positive weights d."""
     d = np.atleast_1d(np.asarray(diag, dtype=float))
-    if np.any(d <= 0.0):
+    if not np.all(d > 0.0):
         raise ObjectiveError("quadratic weights must be positive")
     dim = d.shape[0]
 
@@ -203,18 +205,19 @@ def quadratic(diag) -> Objective:
 def make_objective(name: str, params: Optional[dict] = None) -> Objective:
     """Resolve an objective by registry name and parameter map.
 
-    Names: "rosenbrock"; "ppower" (params: p, dim); "quadratic"
-    (params: diag).
+    Names: "rosenbrock" (no params); "ppower" (params: p, dim);
+    "quadratic" (params: diag).  The params are the constructor's
+    arguments, so one it does not take is an ObjectiveError naming it.
     """
     params = dict(params or {})
     key = name.lower().replace("-", "").replace("_", "")
-    if key == "rosenbrock":
-        return rosenbrock()
-    if key == "ppower":
-        return p_power(p=float(params.get("p", 2.0)), dim=int(params.get("dim", 2)))
-    if key == "quadratic":
-        return quadratic(params.get("diag", [1.0, 1.0]))
-    raise ObjectiveError(f"unknown objective {name!r}")
+    make = {"rosenbrock": rosenbrock, "ppower": p_power, "quadratic": quadratic}.get(key)
+    if make is None:
+        raise ObjectiveError(f"unknown objective {name!r}")
+    unknown = set(params) - set(inspect.signature(make).parameters)
+    if unknown:
+        raise ObjectiveError(f"unknown {key} params {sorted(unknown)}")
+    return make(**params)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,15 @@ class TestUsageErrors:
         assert invoke(["run", "--bogus", "1"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "sources",
+        [["--config", "cfg.json", "--preset", "fig2-p2"], ["--preset", "fig2-p2", "--objective", "ppower"]],
+    )
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_config_sources_are_exclusive(self, capsys, command, sources):
+        assert invoke([command, *sources]) == 1
+        assert "not allowed with" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_preset(self, tmp_path, capsys):
@@ -85,6 +94,19 @@ class TestRun:
         # tolerance threshold is crossed just before that
         assert summary["settled_at"] == pytest.approx(5.0, abs=5e-3)
 
+    def test_flags_apply_over_a_preset(self, tmp_path, capsys):
+        args = ["run", "--preset", "fig2-p2", "--theta0", "0.5", "0", "--output-dir", str(tmp_path)]
+        assert invoke(args) == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "fig2-p2.summary.json").read_text())
+        # alpha = -0.8 on f = |theta|^2 / 2 from |theta0| = r settles at 2.5 r^0.8
+        assert summary["settled_at"] == pytest.approx(2.5 * 0.5**0.8, abs=1e-4)
+
+    def test_sweep_preset_is_refused(self, tmp_path, capsys):
+        assert invoke(["run", "--preset", "fig1-left", "--output-dir", str(tmp_path)]) == 2
+        assert "ftflow sweep" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_run_from_config_file(self, tmp_path, capsys):
         from ftflow.experiments import preset
 
@@ -112,6 +134,21 @@ class TestRun:
         assert code == 2
         assert "unknown integrator keys ['rtol']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [("top", "v_0"), ("flow", "gama"), ("objective", "parms"), ("params", "dimm")],
+    )
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, section, key):
+        d = preset("fig2-p2").to_dict()
+        sections = {"top": d, "flow": d["flow"], "objective": d["objective"]}
+        sections["params"] = d["objective"]["params"]
+        sections[section][key] = 1.0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        code = invoke(["run", "--config", str(cfg_path), "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert f"['{key}']" in capsys.readouterr().err
+
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         code = invoke(
             ["run", "--config", str(tmp_path / "absent.json"), "--output-dir", str(tmp_path)]
@@ -130,6 +167,21 @@ class TestSweep:
         assert [m["label"] for m in combined] == ["fig2-p1.5", "fig2-p2", "fig2-p3"]
         for member in combined:
             assert (tmp_path / f"{member['label']}.csv").exists()
+
+    @pytest.mark.parametrize("name, flag", [("fig1-left", ["--alpha", "-0.3"]), ("fig2", ["--p", "3"])])
+    def test_flag_on_a_member_override_is_refused(self, tmp_path, capsys, name, flag):
+        # applied, it would leave labels such as fig1-left-a025 naming a value not run
+        assert invoke(["sweep", "--preset", name, *flag, "--output-dir", str(tmp_path)]) == 2
+        assert f"['{flag[0][2:]}']" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_flag_the_members_do_not_override_applies_to_all(self, tmp_path, capsys):
+        args = ["sweep", "--preset", "fig1-left", "--beta", "0.7", "--output-dir", str(tmp_path)]
+        assert invoke(args) == 0
+        assert "3 members" in capsys.readouterr().out
+        combined = json.loads((tmp_path / "fig1-left.sweep.json").read_text())
+        assert [m["label"] for m in combined] == ["fig1-left-a025", "fig1-left-a05", "fig1-left-a075"]
+        assert all(m["error"] is None for m in combined)
 
     @pytest.mark.parametrize(
         "override, code",

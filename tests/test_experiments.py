@@ -7,6 +7,7 @@ import pytest
 
 from ftflow.experiments import (
     DOMINANCE_SEED,
+    FLOW_DEFAULTS,
     PRESET_NAMES,
     SCHEMA_VERSION,
     ExperimentConfig,
@@ -14,6 +15,7 @@ from ftflow.experiments import (
     config_from_dict,
     expand,
     export_trajectory,
+    flow_from_dict,
     load_config,
     preset,
     read_trajectory_csv,
@@ -69,6 +71,10 @@ class TestConfig:
         d["integrator"][key] = 1.0
         with pytest.raises(ExperimentError, match=key):
             config_from_dict(d)
+
+    def test_flow_defaults(self):
+        assert flow_from_dict({}) == FlowParams(**FLOW_DEFAULTS)
+        assert flow_from_dict({"beta": 1.0, "gamma": 1.0}).conservative
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -38,6 +38,12 @@ class TestConfig:
             dict(record_stride=0.0),
             dict(rel_tol=0.0),
             dict(abs_tol=-1.0),
+            dict(t_max=float("nan")),
+            dict(t_max=float("inf")),
+            dict(settle_tol=float("nan")),
+            dict(record_stride=float("nan")),
+            dict(rel_tol=float("nan")),
+            dict(abs_tol=float("nan")),
         ],
     )
     def test_invalid(self, kwargs):

@@ -44,6 +44,8 @@ class TestBuiltins:
     def test_p_power_rejects_bad_order(self):
         with pytest.raises(ObjectiveError):
             p_power(1.0)
+        with pytest.raises(ObjectiveError):
+            p_power(float("nan"))
 
     def test_p_power_hessian_at_origin(self):
         np.testing.assert_allclose(p_power(2.0).hess(np.zeros(2)), np.eye(2))
@@ -57,12 +59,19 @@ class TestBuiltins:
         np.testing.assert_allclose(obj.grad(theta), [1.0, 4.0])
         with pytest.raises(ObjectiveError):
             quadratic([1.0, -1.0])
+        with pytest.raises(ObjectiveError):
+            quadratic([1.0, float("nan")])
 
     def test_make_objective(self):
         assert make_objective("rosenbrock", {}).name == "rosenbrock"
         assert make_objective("ppower", {"p": 3.0, "dim": 3}).dim == 3
         with pytest.raises(ObjectiveError):
             make_objective("unknown", {})
+        # a param the objective does not take is named, not ignored
+        with pytest.raises(ObjectiveError, match="'p'"):
+            make_objective("rosenbrock", {"p": 3.0})
+        with pytest.raises(ObjectiveError, match="dimm"):
+            make_objective("ppower", {"p": 2.0, "dimm": 3})
 
 
 class TestFiniteDifferences:
