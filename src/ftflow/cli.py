@@ -38,6 +38,7 @@ from .experiments import (
     PRESET_NAMES,
     ExperimentConfig,
     ExperimentError,
+    check_shape,
     config_from_dict,
     dominance_evidence,
     export_trajectory,
@@ -132,7 +133,7 @@ def _config_from_args(args) -> ExperimentConfig:
     """The source's dict form with the given flags written over it, parsed
     once; a flag naming a key that the sweep members set is refused."""
     if args.config is not None:
-        d = json.loads(args.config.read_text())
+        d = check_shape(json.loads(args.config.read_text()))
     elif args.preset is not None:
         d = preset(args.preset).to_dict()
     else:

@@ -89,6 +89,27 @@ FLOW_DEFAULTS = {"alpha": -0.5, "beta": 0.5, "gamma": 0.5, "kappa": 1.0}
 _CONFIG_KEYS = ("schema_version", "label", "objective", "theta0", "v0", "flow", "integrator", "sweep")
 
 
+def check_shape(d) -> dict:
+    """d, refused with an error naming the section unless it, its objective, objective
+    params, flow, integrator and sweep overrides are objects and theta0, v0, sweep arrays."""
+
+    def need(section, value, array=False):
+        if not isinstance(value, (list, tuple) if array else dict):
+            kind = "an array" if array else "an object"
+            raise ExperimentError(f"{section} must be {kind}, got {type(value).__name__}")
+        return value
+
+    need("config", d)
+    need("objective params", need("objective", d.get("objective", {})).get("params", {}))
+    need("flow", d.get("flow", {}))
+    need("integrator", d.get("integrator", {}))
+    need("theta0", d.get("theta0", ()), array=True)
+    need("v0", d.get("v0", ()), array=True)
+    for o in need("sweep", d.get("sweep", ()), array=True):
+        need("override objective_params", need("sweep override", o).get("objective_params", {}))
+    return d
+
+
 def _check_keys(section: str, d: dict, allowed) -> None:
     unknown = set(d) - set(allowed)
     if unknown:
@@ -107,7 +128,7 @@ def flow_from_dict(d: dict) -> FlowParams:
 def config_from_dict(d: dict) -> ExperimentConfig:
     """The one parser of config files, presets, sweep members and CLI flags;
     a key it does not read is an error (objective params: `make_objective`)."""
-    _check_keys("config", d, _CONFIG_KEYS)
+    _check_keys("config", check_shape(d), _CONFIG_KEYS)
     if int(d.get("schema_version", SCHEMA_VERSION)) != SCHEMA_VERSION:
         raise ExperimentError(f"unsupported schema_version {d.get('schema_version')}")
     _check_keys("objective", d["objective"], ("name", "params"))

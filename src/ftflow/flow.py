@@ -14,6 +14,7 @@ derivative and the energy; the integrator and the certificates call both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,8 +58,8 @@ class FlowParams:
             raise FlowError(f"beta must lie in (0, 1], got {self.beta}")
         if not (0.0 < self.gamma <= 1.0):
             raise FlowError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if not self.kappa > 0.0:
-            raise FlowError(f"kappa must be positive, got {self.kappa}")
+        if not 0.0 < self.kappa < np.inf:
+            raise FlowError(f"kappa must be positive and finite, got {self.kappa}")
         if not (-1.0 <= self.alpha <= 0.0):
             raise FlowError(
                 f"alpha must lie in [-1, 0] (0 = unscaled baseline), got {self.alpha}"
@@ -143,22 +144,22 @@ def flow_field(
     finiteness; an overflowing ||z|| yields an inf field instead.
     """
     alpha, beta, gamma, kappa = params.alpha, params.beta, params.gamma, params.kappa
+    one_m_beta, one_m_gamma = 1.0 - beta, 1.0 - gamma
 
     def field(t, y):
         g = gradient(y[:n])
         v = y[n:]
-        znorm = np.sqrt(np.dot(g, g) + np.dot(v, v))
+        znorm = math.sqrt(g.dot(g) + v.dot(v))
         if znorm <= SINGULAR_TOL:
             return np.zeros(2 * n)
-        if not np.isfinite(znorm):
-            # overflow on a trial stage: hand back an inf field so the
-            # error control rejects the step instead of aborting
+        if not math.isfinite(znorm):
+            # overflow (or NaN) on a trial stage: hand back an inf field so
+            # the error control rejects the step instead of aborting
             return np.full(2 * n, np.inf)
         s = znorm ** alpha
-        out = np.empty(2 * n)
-        out[:n] = s * (beta * v - (1.0 - beta) * g)
-        out[n:] = (-kappa * s) * (gamma * g + (1.0 - gamma) * v)
-        return out
+        return np.concatenate(
+            (s * (beta * v - one_m_beta * g), (-kappa * s) * (gamma * g + one_m_gamma * v))
+        )
 
     return field
 

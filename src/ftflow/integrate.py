@@ -11,6 +11,7 @@ frozen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,13 +26,29 @@ class IntegrationError(RuntimeError):
     pass
 
 
-# Dormand-Prince 5(4) weights: the 5th-order ones are the last stage row
-# (FSAL), and their difference from the 4th-order ones is the error estimate.
+# Dormand-Prince 5(4) tableau.  _A[s] holds, as a column, the weights of
+# stages 0..s-1 in the input of stage s, taken at t + _C[s] h.  The
+# 5th-order weights are the last stage row (FSAL), and their difference
+# from the 4th-order ones is the error estimate; both skip the k2 row by
+# index, since a zero weight would turn an inf k2 into NaN.  Stage sums
+# start from -0.0, which changes no sum (numpy's +0.0 would turn a sum of
+# -0.0 terms into +0.0); a + (-c) k is a - c k bit for bit.
+_C = (0.0, 0.2, 0.3, 0.8, 8 / 9, 1.0)
+_A = [None] + [
+    np.array(row)[:, None]
+    for row in (
+        (0.2,),
+        (0.075, 0.225),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    )
+]
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_E = _B5 - _B4
+_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+_Y5_ROWS, _ERR_ROWS = np.array([0, 2, 3, 4, 5]), np.array([0, 2, 3, 4, 5, 6])
+_B5_COL = _B5[_Y5_ROWS, None]
+_E_COL = (_B5 - _B4)[_ERR_ROWS, None]
 
 INITIAL_STEP = 1e-4
 MIN_STEP = 1e-14
@@ -105,55 +122,23 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg, y_eq) -> f
     # noise floor on ||z||.  The deviation norm is used as one scalar scale
     # so that components momentarily crossing the equilibrium are not
     # over-resolved.
-    dev = max(np.linalg.norm(y0 - y_eq), np.linalg.norm(y1 - y_eq))
-    scale = cfg.abs_tol + cfg.rel_tol * dev
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    d0, d1 = y0 - y_eq, y1 - y_eq
+    dev = math.sqrt(max(d0.dot(d0), d1.dot(d1)))
+    q = err / (cfg.abs_tol + cfg.rel_tol * dev)
+    return math.sqrt((q * q).sum() / q.size)
 
 
 def dopri5_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray):
     """One trial step; returns (y_new, error_vector, k_last)."""
-    # unrolled tableau: stage combinations dominate the per-step cost
-    k2 = f(t + 0.2 * h, y + h * (0.2 * k1))
-    k3 = f(t + 0.3 * h, y + h * (0.075 * k1 + 0.225 * k2))
-    k4 = f(
-        t + 0.8 * h,
-        y + h * ((44 / 45) * k1 - (56 / 15) * k2 + (32 / 9) * k3),
-    )
-    k5 = f(
-        t + (8 / 9) * h,
-        y
-        + h
-        * (
-            (19372 / 6561) * k1
-            - (25360 / 2187) * k2
-            + (64448 / 6561) * k3
-            - (212 / 729) * k4
-        ),
-    )
-    k6 = f(
-        t + h,
-        y
-        + h
-        * (
-            (9017 / 3168) * k1
-            - (355 / 33) * k2
-            + (46732 / 5247) * k3
-            + (49 / 176) * k4
-            - (5103 / 18656) * k5
-        ),
-    )
-    y_new = y + h * (
-        (35 / 384) * k1
-        + (500 / 1113) * k3
-        + (125 / 192) * k4
-        - (2187 / 6784) * k5
-        + (11 / 84) * k6
-    )
-    k7 = f(t + h, y_new)
-    err = h * (
-        _E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5 + _E[5] * k6 + _E[6] * k7
-    )
-    return y_new, err, k7
+    # an axis-0 add.reduce from -0.0 adds K's rows in order: the written-out sums, bit for bit
+    K = np.empty((7, y.shape[0]))
+    K[0] = k1
+    for s in range(1, 6):
+        K[s] = f(t + _C[s] * h, y + h * np.add.reduce(_A[s] * K[:s], axis=0, initial=-0.0))
+    y_new = y + h * np.add.reduce(_B5_COL * K[_Y5_ROWS], axis=0, initial=-0.0)
+    K[6] = f(t + h, y_new)
+    err = h * np.add.reduce(_E_COL * K[_ERR_ROWS], axis=0, initial=-0.0)
+    return y_new, err, K[6]
 
 
 def _hermite(y0, y1, f0, f1, h, s):
@@ -183,31 +168,27 @@ def integrate(
     field = flow_field(params, objective.gradient, n)
 
     def znorm_of(y):
+        """(||z||, ||grad f||^2, ||v||^2) at the state y."""
         g = objective.grad(y[:n])
-        if not np.all(np.isfinite(g)):
+        g2 = g.dot(g)
+        # a finite ||grad f||^2 implies finite entries; the scan is for the rest
+        if not math.isfinite(g2) and not np.all(np.isfinite(g)):
             raise IntegrationError(f"non-finite gradient at theta={y[:n]}")
         v = y[n:]
-        return float(np.sqrt(np.dot(g, g) + np.dot(v, v))), g
+        v2 = v.dot(v)
+        return math.sqrt(g2 + v2), g2, v2
 
-    times = []
-    rows = []
-    fs = []
-    gnorms2 = []
-    vnorms2 = []
-    znorms = []
+    cols = [[], [], [], [], [], []]  # t, y, f, ||z||, ||grad f||^2, ||v||^2 per recorded state
 
-    def record(t, y, znorm, g):
-        times.append(t)
-        rows.append(y.copy())
-        fs.append(objective.f(y[:n]))
-        gnorms2.append(float(np.dot(g, g)))
-        vnorms2.append(float(np.dot(y[n:], y[n:])))
-        znorms.append(znorm)
+    def record(t, y, znorm, g2, v2):
+        # every recorded state is a fresh array, so it is kept uncopied
+        for col, x in zip(cols, (t, y, objective.f(y[:n]), znorm, float(g2), float(v2))):
+            col.append(x)
 
     t = 0.0
     y = np.concatenate([state0.theta, state0.v])
-    z0, g0 = znorm_of(y)
-    record(t, y, z0, g0)
+    z0, g2, v2 = znorm_of(y)
+    record(t, y, z0, g2, v2)
 
     settled_at = None
     reason = "horizon"
@@ -258,7 +239,7 @@ def integrate(
             accept = en <= 1.0
             z_new = None
             if accept:
-                z_new, g_new = znorm_of(y_new)
+                z_new, g2_new, v2_new = znorm_of(y_new)
                 # singularity guard: keep per-step relative change of ||z|| small
                 if z_cur < 1e-3 and z_new > config.settle_tol:
                     change = abs(z_new - z_cur)
@@ -279,7 +260,7 @@ def integrate(
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
                     ym = _hermite(y, y_new, f0v, f1v, h, mid)
-                    zm, _ = znorm_of(ym)
+                    zm = znorm_of(ym)[0]
                     if zm <= config.settle_tol:
                         hi = mid
                     else:
@@ -287,9 +268,8 @@ def integrate(
                     if hi - lo < 1e-12:
                         break
                 y_set = _hermite(y, y_new, f0v, f1v, h, hi)
-                z_set, g_set = znorm_of(y_set)
                 t_set = t + hi * h
-                record(t_set, y_set, z_set, g_set)
+                record(t_set, y_set, *znorm_of(y_set))
                 settled_at = t_set
                 reason = "settled"
                 break
@@ -298,7 +278,7 @@ def integrate(
             if z_new < 0.7 * z_mark:
                 z_mark = z_new
                 attempts_mark = steps
-            record(t, y, z_new, g_new)
+            record(t, y, z_new, g2_new, v2_new)
             h *= factor
             if t >= config.t_max:
                 reason = "horizon"
@@ -334,23 +314,17 @@ def integrate(
             stride = config.record_stride / 4.0
             for tt in np.arange(t + stride, t_end, stride):
                 yy = sol.sol(tt) + y_eq
-                zz, gg = znorm_of(yy)
-                record(float(tt), yy, zz, gg)
+                record(float(tt), yy, *znorm_of(yy))
             y_end = sol.y[:, -1] + y_eq
-            z_end, g_end = znorm_of(y_end)
-            record(t_end, y_end, z_end, g_end)
+            record(t_end, y_end, *znorm_of(y_end))
             if sol.status == 1:
                 settled_at = t_end
                 reason = "settled"
             else:
                 reason = "horizon"
 
-    times = np.array(times)
-    rows = np.array(rows)
-    fs = np.array(fs)
-    gnorms2 = np.array(gnorms2)
-    vnorms2 = np.array(vnorms2)
-    znorms = np.array(znorms)
+    # popped one at a time, so that each list is freed before the next array is built
+    times, rows, fs, znorms, gnorms2, vnorms2 = [np.array(cols.pop(0)) for _ in range(6)]
 
     f_ref = objective.f_star if objective.optimum is not None else float(np.min(fs))
     V, Vdot, H = lyapunov(params, fs - f_ref, gnorms2, vnorms2, znorms)

@@ -142,17 +142,20 @@ def p_power(p: float = 2.0, dim: int = 2) -> Objective:
     Gradient ||theta||^(p-2) theta; at the origin it is set to zero, the
     continuous extension (valid for any p > 1).
     """
-    p, dim = float(p), int(dim)
+    p = float(p)
     if not p > 1.0:
         raise ObjectiveError(f"p must exceed 1, got {p}")
-    if dim < 1:
-        raise ObjectiveError("dim must be >= 1")
+    if not (float(dim).is_integer() and float(dim) >= 1):
+        raise ObjectiveError(f"dim must be an integer >= 1, got {dim}")
+    dim = int(float(dim))
 
+    # ||t|| as np.linalg.norm takes it; np.sqrt keeps it a numpy scalar, so
+    # that a power of it overflows to inf instead of raising OverflowError
     def value(t):
-        return float(np.linalg.norm(t) ** p / p)
+        return float(np.sqrt(t.dot(t)) ** p / p)
 
     def gradient(t):
-        r = np.linalg.norm(t)
+        r = np.sqrt(t.dot(t))
         if r == 0.0:
             return np.zeros(dim)
         return r ** (p - 2.0) * t
@@ -210,7 +213,7 @@ def make_objective(name: str, params: Optional[dict] = None) -> Objective:
     arguments, so one it does not take is an ObjectiveError naming it.
     """
     params = dict(params or {})
-    key = name.lower().replace("-", "").replace("_", "")
+    key = str(name).lower().replace("-", "").replace("_", "")
     make = {"rosenbrock": rosenbrock, "ppower": p_power, "quadratic": quadratic}.get(key)
     if make is None:
         raise ObjectiveError(f"unknown objective {name!r}")

@@ -149,6 +149,42 @@ class TestRun:
         assert code == 2
         assert f"['{key}']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ((), [1, 2], "config must be an object"),
+            (("flow",), [0.5], "flow must be an object"),
+            (("integrator",), [1e-8], "integrator must be an object"),
+            (("objective",), "ppower", "objective must be an object"),
+            (("objective", "params"), [2.0], "objective params must be an object"),
+            (("objective", "name"), 5, "unknown objective 5"),
+            (("theta0",), 5, "theta0 must be an array"),
+            (("sweep",), [[1]], "sweep override must be an object"),
+        ],
+    )
+    @pytest.mark.parametrize("flags", [[], ["--alpha", "-0.3"]])
+    def test_section_of_the_wrong_type_is_config_error(
+        self, tmp_path, capsys, path, value, message, flags
+    ):
+        d = preset("fig2-p2").to_dict()
+        if path:
+            parent = d
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            d = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        code = invoke(["run", "--config", str(cfg_path), *flags, "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_infinite_kappa_is_config_error(self, tmp_path, capsys):
+        code = invoke(["run", "--preset", "fig2-p2", "--kappa", "inf", "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert "kappa must be positive and finite" in capsys.readouterr().err
+
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         code = invoke(
             ["run", "--config", str(tmp_path / "absent.json"), "--output-dir", str(tmp_path)]
@@ -185,7 +221,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "override, code",
-        [({"p": 0.5}, 2), ({"dim": 3}, 3)],  # ObjectiveError; IntegrationError (theta0 has dim 2)
+        # ObjectiveError; IntegrationError (theta0 has dim 2); ObjectiveError
+        [({"p": 0.5}, 2), ({"dim": 3}, 3), ({"dim": 2.5}, 2)],
     )
     def test_failing_member_keeps_the_others(self, tmp_path, capsys, override, code):
         cfg = replace(

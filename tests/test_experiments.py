@@ -72,6 +72,15 @@ class TestConfig:
         with pytest.raises(ExperimentError, match=key):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("section", ["flow", "integrator", "objective", "v0"])
+    def test_section_of_the_wrong_type_is_config_error(self, section):
+        d = PPOWER_CFG.to_dict()
+        d[section] = 1.0
+        with pytest.raises(ExperimentError, match=f"{section} must be an"):
+            config_from_dict(d)
+        with pytest.raises(ExperimentError, match="config must be an object"):
+            config_from_dict([d])
+
     def test_flow_defaults(self):
         assert flow_from_dict({}) == FlowParams(**FLOW_DEFAULTS)
         assert flow_from_dict({"beta": 1.0, "gamma": 1.0}).conservative

@@ -33,6 +33,7 @@ class TestFlowParams:
             dict(alpha=-0.5, beta=0.5, gamma=0.0, kappa=1.0),
             dict(alpha=-0.5, beta=0.5, gamma=0.5, kappa=0.0),
             dict(alpha=-0.5, beta=0.5, gamma=0.5, kappa=-1.0),
+            dict(alpha=-0.5, beta=0.5, gamma=0.5, kappa=float("inf")),
         ],
     )
     def test_invalid_parameters(self, kwargs):
@@ -133,6 +134,8 @@ class TestVectorField:
         assert np.all(field(0.0, np.array([1e-13, 2e-13])) != 0.0)
         with np.errstate(over="ignore"):
             np.testing.assert_array_equal(field(0.0, np.array([1e308, 1e308])), [np.inf, np.inf])
+        # a NaN gradient gives a NaN ||z||, which must not pass as a finite one
+        np.testing.assert_array_equal(field(0.0, np.array([np.nan, 1.0])), [np.inf, np.inf])
 
     def test_descent_direction_for_pure_gradient_mix(self):
         # beta small: theta' is dominated by -grad f, so f decreases

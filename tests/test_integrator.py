@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ftflow.experiments import preset
 from ftflow.flow import FlowParams, FlowState, conservative_params
 from ftflow.integrate import (
     IntegrationError,
@@ -76,6 +79,103 @@ class TestStepper:
         assert 20.0 < estimates[0] / estimates[1] < 50.0
 
 
+def unrolled_dopri5_step(f, t, y, h, k1):
+    """The Dormand-Prince 5(4) step written out term by term, as reference."""
+    k2 = f(t + 0.2 * h, y + h * (0.2 * k1))
+    k3 = f(t + 0.3 * h, y + h * (0.075 * k1 + 0.225 * k2))
+    k4 = f(t + 0.8 * h, y + h * ((44 / 45) * k1 - (56 / 15) * k2 + (32 / 9) * k3))
+    k5 = f(
+        t + (8 / 9) * h,
+        y
+        + h
+        * ((19372 / 6561) * k1 - (25360 / 2187) * k2 + (64448 / 6561) * k3 - (212 / 729) * k4),
+    )
+    k6 = f(
+        t + h,
+        y
+        + h
+        * (
+            (9017 / 3168) * k1
+            - (355 / 33) * k2
+            + (46732 / 5247) * k3
+            + (49 / 176) * k4
+            - (5103 / 18656) * k5
+        ),
+    )
+    y_new = y + h * (
+        (35 / 384) * k1
+        + (500 / 1113) * k3
+        + (125 / 192) * k4
+        - (2187 / 6784) * k5
+        + (11 / 84) * k6
+    )
+    k7 = f(t + h, y_new)
+    b5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+    b4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+    e = b5 - b4
+    err = h * (e[0] * k1 + e[2] * k3 + e[3] * k4 + e[4] * k5 + e[5] * k6 + e[6] * k7)
+    return y_new, err, k7
+
+
+def assert_same_bits(a, b):
+    # NaNs compare by position only; every other entry by its bits, so that
+    # a -0.0 where the reference has 0.0 fails
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def stepper_field(kind, n, rng):
+    """A field on 2n components, and a hook that restarts its call count
+    (the call after a restart gives k2)."""
+    M = rng.standard_normal((2 * n, 2 * n))
+    const = rng.standard_normal(2 * n)
+    calls = [0]
+
+    def f(t, y):
+        calls[0] += 1
+        if kind == "linear":
+            return M @ y
+        if kind.startswith("inf-at-k"):
+            # independent of y, so only the handling of the inf row decides
+            # whether it reaches y_new
+            return np.full(2 * n, np.inf) if calls[0] == int(kind[-1]) - 1 else const.copy()
+        # "signed-zero": component 0 is -0.0 and component 1 reads the sign
+        # of the stage input's component 0
+        out = M @ y
+        out[0] = -0.0
+        out[1] = np.copysign(1.0, y[0])
+        return out
+
+    def restart():
+        calls[0] = 0
+
+    return f, restart
+
+
+class TestStackedStages:
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    @pytest.mark.parametrize("kind", ["linear", "inf-at-k2", "inf-at-k4", "signed-zero"])
+    def test_matches_unrolled_tableau_bit_for_bit(self, n, kind):
+        rng = np.random.default_rng(n)
+        f, restart = stepper_field(kind, n, rng)
+        y = rng.standard_normal(2 * n)
+        if kind == "signed-zero":
+            y[0] = -0.0
+        k1 = rng.standard_normal(2 * n) if kind.startswith("inf") else f(0.0, y)
+        for h in (1e-3, 0.07, 0.5):
+            with np.errstate(all="ignore"):
+                restart()
+                expected = unrolled_dopri5_step(f, 0.3, y, h, k1)
+                restart()
+                got = dopri5_step(f, 0.3, y, h, k1)
+            for a, b in zip(got, expected):
+                assert_same_bits(a, b)
+        if kind == "inf-at-k2":
+            # k2 has weight 0 in y_new and the error; a 0 * inf there is NaN
+            assert np.all(np.isfinite(got[0])) and np.all(np.isfinite(got[1]))
+
+
 class TestIntegrateFlow:
     def test_unscaled_linear_flow_matches_closed_form(self):
         # alpha = 0, beta = gamma = 0.5, kappa = 1 on f = ||theta||^2/2 is a
@@ -102,6 +202,23 @@ class TestIntegrateFlow:
         traj = integrate(state, params, rosenbrock(), cfg)
         assert traj.terminated_reason == "settled"
         assert traj.settled_at == pytest.approx(8.167812, abs=1e-3)
+
+    @pytest.mark.parametrize("name, grad_calls", [("fig2-p1.5", 19_540), ("fig2-p3", 2_282)])
+    def test_gradient_calls_are_pinned(self, name, grad_calls):
+        # every gradient evaluation of the explicit steps, the checks of
+        # ||z||, the settling bisection and the implicit finish
+        cfg = preset(name)
+        objective = cfg.objective()
+        calls = [0]
+
+        def gradient(theta, base=objective.gradient):
+            calls[0] += 1
+            return base(theta)
+
+        counting = replace(objective, gradient=gradient)
+        calls[0] = 0  # registration evaluated the gradient at the optimum
+        integrate(cfg.initial_state(), cfg.flow, counting, cfg.integrator)
+        assert calls[0] == grad_calls
 
     def test_start_at_equilibrium(self):
         state = FlowState(theta=np.array([1.0, 1.0]), v=np.zeros(2))

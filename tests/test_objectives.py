@@ -47,6 +47,14 @@ class TestBuiltins:
         with pytest.raises(ObjectiveError):
             p_power(float("nan"))
 
+    @pytest.mark.parametrize("dim", [2.5, 0, float("nan"), float("inf")])
+    def test_p_power_rejects_bad_dim(self, dim):
+        with pytest.raises(ObjectiveError, match="dim must be an integer"):
+            p_power(2.0, dim)
+
+    def test_p_power_accepts_integral_float_dim(self):
+        assert p_power(2.0, 3.0).dim == 3
+
     def test_p_power_hessian_at_origin(self):
         np.testing.assert_allclose(p_power(2.0).hess(np.zeros(2)), np.eye(2))
         with pytest.raises(ObjectiveError):
