@@ -3,7 +3,7 @@
 Flag names mirror the math symbols (--alpha, --beta, --gamma, --kappa,
 --p) so configurations can be cross-read directly.  Exit codes: 0
 success, 1 usage error, 2 configuration error, 3 runtime or numerical
-failure.
+failure, a failed `gradcheck` (GradientCheckError) included.
 
 `run` and `sweep` take one source (--config, --preset or --objective),
 write the flags given over it and parse the result once, so an unknown key
@@ -55,6 +55,10 @@ from .objectives import ObjectiveError, estimate_smoothness, fd_gradient, make_o
 USAGE_EXIT = 1
 CONFIG_EXIT = 2
 RUNTIME_EXIT = 3
+
+
+class GradientCheckError(RuntimeError):
+    """The analytic gradient disagrees with finite differences."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,7 +265,7 @@ def _cmd_gradcheck(args) -> int:
     )
     print(f"gradcheck {objective.name}: worst relative error {worst:.3e} ({'ok' if ok else 'FAIL'})")
     if not ok:
-        raise IntegrationError("gradient check failed")
+        raise GradientCheckError(f"gradient check failed: worst relative error {worst:.3e} > 1e-5")
     return 0
 
 
@@ -311,7 +315,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:
         return _COMMANDS[args.subcommand](args)
-    except (IntegrationError, CertificateError, ArithmeticError) as exc:
+    except (IntegrationError, CertificateError, GradientCheckError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
     except (ExperimentError, ObjectiveError, FlowError, OSError, ValueError, KeyError) as exc:

@@ -39,6 +39,7 @@ SCHEMA_VERSION = 1
 DOMINANCE_SEED = 20240
 
 CSV_FLOAT = repr  # full round-trip decimal precision
+CSV_BLOCK_ROWS = 512  # rows formatted per write
 
 
 class ExperimentError(ValueError):
@@ -91,7 +92,8 @@ _CONFIG_KEYS = ("schema_version", "label", "objective", "theta0", "v0", "flow", 
 
 def check_shape(d) -> dict:
     """d, refused with an error naming the section unless it, its objective, objective
-    params, flow, integrator and sweep overrides are objects and theta0, v0, sweep arrays."""
+    params, flow, integrator and sweep overrides are objects, theta0, v0, sweep arrays,
+    and schema_version and the flow and integrator values numbers (naming the key)."""
 
     def need(section, value, array=False):
         if not isinstance(value, (list, tuple) if array else dict):
@@ -101,8 +103,12 @@ def check_shape(d) -> dict:
 
     need("config", d)
     need("objective params", need("objective", d.get("objective", {})).get("params", {}))
-    need("flow", d.get("flow", {}))
-    need("integrator", d.get("integrator", {}))
+    numbers = {"schema_version": d.get("schema_version", SCHEMA_VERSION)}
+    for section in ("flow", "integrator"):
+        numbers.update((f"{section} {k}", v) for k, v in need(section, d.get(section, {})).items())
+    for key, value in numbers.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ExperimentError(f"{key} must be a number, got {type(value).__name__}")
     need("theta0", d.get("theta0", ()), array=True)
     need("v0", d.get("v0", ()), array=True)
     for o in need("sweep", d.get("sweep", ()), array=True):
@@ -317,19 +323,20 @@ def export_trajectory(traj: Trajectory, destination) -> None:
         + [f"v_{i}" for i in range(n)]
         + ["f", "V", "Vdot", "znorm"]
     )
-    lines = [",".join(header)]
-    for i in range(len(traj)):
-        row = (
-            [traj.times[i]]
-            + list(traj.states[i])
-            + [traj.f[i], traj.V[i], traj.Vdot[i], traj.z_norm[i]]
-        )
-        lines.append(",".join(CSV_FLOAT(float(x)) for x in row))
-    text = "\n".join(lines) + "\n"
+    table = np.column_stack((traj.times, traj.states, traj.f, traj.V, traj.Vdot, traj.z_norm))
+
+    def write(fh):
+        # a block at a time, so that the whole text never exists; tolist gives Python floats
+        fh.write(",".join(header) + "\n")
+        for i in range(0, len(table), CSV_BLOCK_ROWS):
+            rows = table[i : i + CSV_BLOCK_ROWS].tolist()
+            fh.write("".join(",".join(map(CSV_FLOAT, row)) + "\n" for row in rows))
+
     if hasattr(destination, "write"):
-        destination.write(text)
+        write(destination)
     else:
-        Path(destination).write_text(text)
+        with open(destination, "w") as fh:
+            write(fh)
 
 
 def read_trajectory_csv(path) -> dict:

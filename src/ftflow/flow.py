@@ -134,32 +134,35 @@ def stacked(state: FlowState, objective: Objective) -> StackedGradientMomentum:
 
 def flow_field(
     params: FlowParams, gradient: Callable[[np.ndarray], np.ndarray], n: int
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The flow as dy/dt = field(t, y) on the flat state y = [theta, v].
+) -> Callable[..., np.ndarray]:
+    """The flow as dy/dt = field(t, y, out=None) on the flat state y = [theta, v].
 
-    The field is exactly zero whenever ||z|| <= SINGULAR_TOL: for
-    alpha > -1 this is the continuous extension at the equilibrium, and
+    The field is written into `out` when one is given (and returned), else
+    into a fresh array.  It is exactly zero whenever ||z|| <= SINGULAR_TOL:
+    for alpha > -1 this is the continuous extension at the equilibrium, and
     it makes the equilibrium an exact fixed point of any integrator.
     `gradient` is called once per evaluation and is not checked for
     finiteness; an overflowing ||z|| yields an inf field instead.
     """
     alpha, beta, gamma, kappa = params.alpha, params.beta, params.gamma, params.kappa
-    one_m_beta, one_m_gamma = 1.0 - beta, 1.0 - gamma
+    # both halves as one 2n-wide formula over [g, g] and [v, v]; it is
+    # s (beta v - (1-beta) g) and (-kappa s) (gamma g + (1-gamma) v) bit for
+    # bit, since a - b is a + (-b), (-c) x is -(c x) and products commute
+    coef_g = np.repeat([-(1.0 - beta), gamma], n)
+    coef_v = np.repeat([beta, 1.0 - gamma], n)
+    scale = np.repeat([1.0, -kappa], n)
+    ig, iv = np.tile(np.arange(n), 2), np.tile(np.arange(n, 2 * n), 2)
 
-    def field(t, y):
+    def field(t, y, out=None):
         g = gradient(y[:n])
         v = y[n:]
         znorm = math.sqrt(g.dot(g) + v.dot(v))
-        if znorm <= SINGULAR_TOL:
-            return np.zeros(2 * n)
-        if not math.isfinite(znorm):
-            # overflow (or NaN) on a trial stage: hand back an inf field so
-            # the error control rejects the step instead of aborting
-            return np.full(2 * n, np.inf)
-        s = znorm ** alpha
-        return np.concatenate(
-            (s * (beta * v - one_m_beta * g), (-kappa * s) * (gamma * g + one_m_gamma * v))
-        )
+        if not SINGULAR_TOL < znorm < math.inf:
+            # an overflowing or NaN ||z|| gives inf, so the error control rejects the step
+            out = np.empty(2 * n) if out is None else out
+            out[:] = 0.0 if znorm <= SINGULAR_TOL else np.inf
+            return out
+        return np.multiply(coef_g * g[ig] + coef_v * y[iv], (znorm ** alpha) * scale, out=out)
 
     return field
 

@@ -115,28 +115,29 @@ class Trajectory:
         return self.times.shape[0]
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg, y_eq) -> float:
+def _error_norm(err: np.ndarray, dev0: float, y1: np.ndarray, cfg, y_eq) -> tuple[float, float]:
     # Measuring error relative to the deviation from the equilibrium (the
     # origin when none is registered) lets the step control resolve the
     # approach to settling; a plain |y| scale would put a rel_tol * |theta*|
     # noise floor on ||z||.  The deviation norm is used as one scalar scale
     # so that components momentarily crossing the equilibrium are not
-    # over-resolved.
-    d0, d1 = y0 - y_eq, y1 - y_eq
-    dev = math.sqrt(max(d0.dot(d0), d1.dot(d1)))
-    q = err / (cfg.abs_tol + cfg.rel_tol * dev)
-    return math.sqrt((q * q).sum() / q.size)
+    # over-resolved.  dev0 = ||y0 - y_eq||^2 holds until a step is accepted,
+    # so the caller passes the returned ||y1 - y_eq||^2 back as the next dev0.
+    d1 = y1 - y_eq
+    dev1 = d1.dot(d1)
+    q = err / (cfg.abs_tol + cfg.rel_tol * math.sqrt(max(dev0, dev1)))
+    return math.sqrt((q * q).sum() / q.size), dev1
 
 
 def dopri5_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray):
-    """One trial step; returns (y_new, error_vector, k_last)."""
+    """One trial step of f(t, y, out) into a fresh K; returns (y_new, error_vector, k_last)."""
     # an axis-0 add.reduce from -0.0 adds K's rows in order: the written-out sums, bit for bit
     K = np.empty((7, y.shape[0]))
     K[0] = k1
     for s in range(1, 6):
-        K[s] = f(t + _C[s] * h, y + h * np.add.reduce(_A[s] * K[:s], axis=0, initial=-0.0))
+        f(t + _C[s] * h, y + h * np.add.reduce(_A[s] * K[:s], axis=0, initial=-0.0), K[s])
     y_new = y + h * np.add.reduce(_B5_COL * K[_Y5_ROWS], axis=0, initial=-0.0)
-    K[6] = f(t + h, y_new)
+    f(t + h, y_new, K[6])
     err = h * np.add.reduce(_E_COL * K[_ERR_ROWS], axis=0, initial=-0.0)
     return y_new, err, K[6]
 
@@ -200,7 +201,7 @@ def integrate(
         k1 = field(t, y)
         if not np.all(np.isfinite(k1)):
             raise IntegrationError(f"non-finite field at t={t}, state={y}")
-        z_cur = z0
+        z_cur, dev = z0, (y - y_eq).dot(y - y_eq)
 
         # Stagnation watch.  Two failure modes park the explicit pair above
         # settle_tol with no further progress: (i) near a smooth minimum the
@@ -232,7 +233,7 @@ def integrate(
             if h < MIN_STEP:
                 h = min(MIN_STEP, config.t_max - t)
             y_new, err, k_last = dopri5_step(field, t, y, h, k1)
-            en = _error_norm(err, y, y_new, config, y_eq)
+            en, dev_new = _error_norm(err, dev, y_new, config, y_eq)
             # grows an accepted step and shrinks one the error control
             # rejects (en > 1 keeps it below 0.9); NaN or inf en gives 0.2
             factor = min(5.0, max(0.2, 0.9 * (en + 1e-16) ** -0.2))
@@ -273,7 +274,7 @@ def integrate(
                 settled_at = t_set
                 reason = "settled"
                 break
-            t, y, k1 = t + h, y_new, k_last
+            t, y, k1, dev = t + h, y_new, k_last, dev_new
             z_cur = z_new
             if z_new < 0.7 * z_mark:
                 z_mark = z_new

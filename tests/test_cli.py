@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from ftflow import cli
 from ftflow.cli import main
 from ftflow.experiments import preset
 
@@ -160,6 +161,9 @@ class TestRun:
             (("objective", "name"), 5, "unknown objective 5"),
             (("theta0",), 5, "theta0 must be an array"),
             (("sweep",), [[1]], "sweep override must be an object"),
+            (("schema_version",), None, "schema_version must be a number, got NoneType"),
+            (("flow", "alpha"), None, "flow alpha must be a number, got NoneType"),
+            (("integrator", "t_max"), "50", "integrator t_max must be a number, got str"),
         ],
     )
     @pytest.mark.parametrize("flags", [[], ["--alpha", "-0.3"]])
@@ -328,6 +332,17 @@ class TestGradcheckAndLemma:
         assert "ok" in out
         payload = json.loads((tmp_path / "gradcheck.json").read_text())
         assert payload["pass"] is True
+
+    def test_failed_gradcheck_is_its_own_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # finite differences that disagree with every analytic gradient
+        monkeypatch.setattr(cli, "fd_gradient", lambda obj, theta, h: obj.grad(theta) + 1.0)
+        argv = ["gradcheck", "--objective", "rosenbrock", "--samples", "5"]
+        argv += ["--output-dir", str(tmp_path)]
+        with pytest.raises(cli.GradientCheckError, match="gradient check failed"):
+            cli._cmd_gradcheck(cli._build_parser().parse_args(argv))
+        assert invoke(argv) == 3
+        assert "gradient check failed" in capsys.readouterr().err
+        assert json.loads((tmp_path / "gradcheck.json").read_text())["pass"] is False
 
     def test_verify_lemma1_pass(self, capsys):
         code = invoke(["verify-lemma1", "--a", "2", "--delta", "1"])

@@ -1,11 +1,13 @@
 import io
 import json
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from ftflow.experiments import (
+    CSV_BLOCK_ROWS,
     DOMINANCE_SEED,
     FLOW_DEFAULTS,
     PRESET_NAMES,
@@ -230,6 +232,51 @@ class TestCsv:
         buf = io.StringIO()
         export_trajectory(traj, buf)
         assert buf.getvalue().startswith("t,theta_0")
+
+    def test_many_blocks_round_trip_bit_exact(self, tmp_path):
+        traj = random_trajectory(CSV_BLOCK_ROWS * 2 + 77)
+        path = tmp_path / "traj.csv"
+        export_trajectory(traj, path)
+        buf = io.StringIO()
+        export_trajectory(traj, buf)
+        assert buf.getvalue() == path.read_text()
+        cols = read_trajectory_csv(path)
+        table = np.column_stack(
+            (traj.times, traj.states, traj.f, traj.V, traj.Vdot, traj.z_norm)
+        )
+        assert np.column_stack(list(cols.values())).tobytes() == table.tobytes()
+
+    def test_export_never_holds_the_whole_text(self, tmp_path):
+        traj = random_trajectory(6000)
+        path = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            export_trajectory(traj, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+
+
+def random_trajectory(rows, n=2):
+    """A trajectory of `rows` samples with values of every magnitude and
+    both signed zeros."""
+    rng = np.random.default_rng(rows)
+    shape = (rows, 2 * n + 5)
+    table = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    table[::7, 1], table[::11, 2] = 0.0, -0.0
+    return Trajectory(
+        times=table[:, 0].copy(),
+        states=table[:, 1 : 2 * n + 1].copy(),
+        dim=n,
+        f=table[:, -4].copy(),
+        V=table[:, -3].copy(),
+        Vdot=table[:, -2].copy(),
+        z_norm=table[:, -1].copy(),
+        energy=None,
+        settled_at=None,
+        terminated_reason="horizon",
+    )
 
 
 class TestPresets:

@@ -90,6 +90,11 @@ def _lyapunov_at(state, params, objective):
     return lyapunov(params, f_gap, g2, v2, np.sqrt(g2 + v2))
 
 
+def same_bits(a, b):
+    # by bytes, so that a -0.0 where the reference has 0.0 fails
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestVectorField:
     @given(
         alpha=st.floats(min_value=-1.0, max_value=0.0),
@@ -97,7 +102,9 @@ class TestVectorField:
         gamma=st.floats(min_value=0.05, max_value=0.95),
         kappa=st.floats(min_value=0.1, max_value=5.0),
         coords=st.lists(
-            st.floats(min_value=-3.0, max_value=3.0), min_size=4, max_size=4
+            st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.sampled_from([0.0, -0.0])),
+            min_size=4,
+            max_size=4,
         ),
     )
     @settings(max_examples=80, deadline=None)
@@ -105,19 +112,36 @@ class TestVectorField:
         params = FlowParams(alpha=alpha, beta=beta, gamma=gamma, kappa=kappa)
         state = FlowState(theta=np.array(coords[:2]), v=np.array(coords[2:]))
         objective = quadratic([1.0, 2.0])
-        g = objective.grad(state.theta)
-        znorm = float(np.sqrt(np.dot(g, g) + np.dot(state.v, state.v)))
+        g, v = objective.grad(state.theta), state.v
+        znorm = float(np.sqrt(np.dot(g, g) + np.dot(v, v)))
         dtheta, dv = _field_at(state, params, objective)
         if znorm <= SINGULAR_TOL:
-            assert np.all(dtheta == 0.0) and np.all(dv == 0.0)
+            assert same_bits(dtheta, np.zeros(2)) and same_bits(dv, np.zeros(2))
             return
-        scale = znorm**alpha
-        np.testing.assert_allclose(
-            dtheta, scale * (-(1.0 - beta) * g + beta * state.v), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            dv, -kappa * scale * (gamma * g + (1.0 - gamma) * state.v), rtol=1e-12
-        )
+        s = znorm**alpha
+        assert same_bits(dtheta, s * (beta * v - (1.0 - beta) * g))
+        assert same_bits(dv, (-kappa * s) * (gamma * g + (1.0 - gamma) * v))
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [0.3, -0.7, -0.0, 2.0, 0.0, -1e-3],  # regular
+            [3e-14, 0.0, 0.0, 0.0, -4e-14, 0.0],  # inside the zero ball
+            [1e308, 1e308, 0.0, 1.0, 1.0, 1.0],  # ||z|| overflows
+            [np.nan, 1.0, 0.0, 1.0, 1.0, 1.0],  # NaN gradient
+        ],
+    )
+    @pytest.mark.parametrize("garbage", [7.0, np.nan])
+    def test_writes_into_out_as_it_returns(self, y, garbage):
+        params = FlowParams(alpha=-0.5, beta=0.3, gamma=0.6, kappa=2.0)
+        field = flow_field(params, lambda theta: theta, 3)
+        y = np.array(y)
+        with np.errstate(over="ignore"):
+            fresh = field(0.0, y)
+            row = np.full(6, garbage)
+            written = field(0.0, y, out=row)
+        assert written is row
+        assert same_bits(row, fresh) and not np.isnan(row).any()
 
     def test_exact_zero_at_equilibrium(self):
         objective = rosenbrock()
