@@ -91,8 +91,9 @@ _CONFIG_KEYS = ("schema_version", "label", "objective", "theta0", "v0", "flow", 
 
 
 def check_shape(d) -> dict:
-    """d, refused with an error naming the section unless it, its objective, objective
-    params, flow, integrator and sweep overrides are objects, theta0, v0, sweep arrays,
+    """d, refused with an error naming the section unless it is an object that has an
+    objective (with a name), theta0 and flow; its objective, objective params, flow,
+    integrator and sweep overrides are objects, theta0, v0, sweep arrays, label a string,
     and schema_version and the flow and integrator values numbers (naming the key)."""
 
     def need(section, value, array=False):
@@ -102,7 +103,14 @@ def check_shape(d) -> dict:
         return value
 
     need("config", d)
-    need("objective params", need("objective", d.get("objective", {})).get("params", {}))
+    for key in ("objective", "theta0", "flow"):
+        if key not in d:
+            raise ExperimentError(f"config is missing {key!r}")
+    if "name" not in need("objective", d["objective"]):
+        raise ExperimentError("objective is missing 'name'")
+    need("objective params", d["objective"].get("params", {}))
+    if not isinstance(d.get("label", ""), str):
+        raise ExperimentError(f"label must be a string, got {type(d['label']).__name__}")
     numbers = {"schema_version": d.get("schema_version", SCHEMA_VERSION)}
     for section in ("flow", "integrator"):
         numbers.update((f"{section} {k}", v) for k, v in need(section, d.get(section, {})).items())

@@ -12,11 +12,13 @@ frozen.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import Radau, solve_ivp
+from scipy.linalg import LinAlgWarning, get_lapack_funcs
 
 from .flow import SINGULAR_TOL, FlowParams, FlowState, flow_field, lyapunov
 from .objectives import Objective
@@ -140,6 +142,59 @@ def dopri5_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray):
     f(t + h, y_new, K[6])
     err = h * np.add.reduce(_E_COL * K[_ERR_ROWS], axis=0, initial=-0.0)
     return y_new, err, K[6]
+
+
+# LAPACK getrf and getrs by dtype char, for the real (float64) and complex
+# (complex128) Radau systems
+_GETRF, _GETRS = (
+    {np.dtype(t).char: get_lapack_funcs(name, dtype=t) for t in (np.float64, np.complex128)}
+    for name in ("getrf", "getrs")
+)
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")  # asarray_chkfinite's
+
+
+class _Radau(Radau):
+    """scipy's Radau IIA whose dense LU factor and solve call LAPACK directly.
+
+    The closures Radau.__init__ stores as `lu` and `solve_lu` wrap
+    scipy.linalg's lu_factor and lu_solve, whose per-call checks and
+    batching cost far more than the small systems here.  These run the same
+    getrf/getrs on the same arrays with the same checks (finite input, the
+    singular-pivot LinAlgWarning, nlu), so every result is bit-identical.
+    Radau pairs each factor only with right-hand sides of its own dtype.
+    Dense Jacobians only: no jac_sparsity.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+
+        def lu(A):
+            self.nlu += 1
+            _require_finite(A)
+            factor, piv, info = _GETRF[A.dtype.char](A, overwrite_a=True)
+            if info < 0:
+                raise ValueError(f"illegal value in {-info}th argument of internal getrf")
+            if info > 0:
+                warnings.warn(
+                    f"Diagonal number {info} is exactly zero. Singular matrix.",
+                    LinAlgWarning,
+                    stacklevel=2,
+                )
+            return factor, piv
+
+        def solve_lu(LU, b):
+            factor, piv = LU
+            _require_finite(b)
+            x, info = _GETRS[factor.dtype.char](factor, piv, b, overwrite_b=True)
+            if info != 0:
+                raise ValueError(f"illegal value in {-info}th argument of internal getrs")
+            return x
+
+        self.lu, self.solve_lu = lu, solve_lu
 
 
 def _hermite(y0, y1, f0, f1, h, s):
@@ -286,9 +341,11 @@ def integrate(
                 break
 
         if stalled:
-            # Hand the stiff remainder to an implicit solver.  Solving in
-            # deviation coordinates (w = y - y_eq) keeps its relative error
-            # scaling consistent with the settling resolution above.
+            # Hand the stiff remainder to scipy's Radau IIA (_Radau: its LU
+            # factor and solve call LAPACK directly, bit-identical to stock
+            # Radau).  Solving in deviation coordinates (w = y - y_eq) keeps
+            # its relative error scaling consistent with the settling
+            # resolution above.
             def field_dev(tt, w):
                 return field(tt, w + y_eq)
 
@@ -301,7 +358,7 @@ def integrate(
                 field_dev,
                 (t, config.t_max),
                 y - y_eq,
-                method="Radau",
+                method=_Radau,
                 rtol=config.rel_tol,
                 atol=config.abs_tol,
                 events=crossing,

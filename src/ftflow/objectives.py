@@ -9,6 +9,7 @@ constant L and the gradient-dominance pair (p, mu).
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -210,16 +211,25 @@ def make_objective(name: str, params: Optional[dict] = None) -> Objective:
 
     Names: "rosenbrock" (no params); "ppower" (params: p, dim);
     "quadratic" (params: diag).  The params are the constructor's
-    arguments, so one it does not take is an ObjectiveError naming it.
+    arguments, so one it does not take, or a value that is not a number
+    (diag: or an array of numbers), is an ObjectiveError naming it.
     """
     params = dict(params or {})
     key = str(name).lower().replace("-", "").replace("_", "")
     make = {"rosenbrock": rosenbrock, "ppower": p_power, "quadratic": quadratic}.get(key)
     if make is None:
         raise ObjectiveError(f"unknown objective {name!r}")
-    unknown = set(params) - set(inspect.signature(make).parameters)
+    signature = inspect.signature(make).parameters
+    unknown = set(params) - set(signature)
     if unknown:
         raise ObjectiveError(f"unknown {key} params {sorted(unknown)}")
+    for param, value in params.items():
+        # a param whose default is a tuple (diag) also takes an array of numbers
+        array = isinstance(signature[param].default, tuple)
+        items = value if array and isinstance(value, (list, tuple)) else [value]
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in items):
+            kind = "a number or an array of numbers" if array else "a number"
+            raise ObjectiveError(f"{key} param {param} must be {kind}, got {type(value).__name__}")
     return make(**params)
 
 

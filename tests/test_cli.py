@@ -164,6 +164,9 @@ class TestRun:
             (("schema_version",), None, "schema_version must be a number, got NoneType"),
             (("flow", "alpha"), None, "flow alpha must be a number, got NoneType"),
             (("integrator", "t_max"), "50", "integrator t_max must be a number, got str"),
+            (("objective", "params", "p"), None, "ppower param p must be a number, got NoneType"),
+            (("objective", "params", "dim"), "2", "ppower param dim must be a number, got str"),
+            (("label",), [1], "label must be a string, got list"),
         ],
     )
     @pytest.mark.parametrize("flags", [[], ["--alpha", "-0.3"]])
@@ -183,6 +186,17 @@ class TestRun:
         code = invoke(["run", "--config", str(cfg_path), *flags, "--output-dir", str(tmp_path)])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["objective", "theta0", "flow"])
+    @pytest.mark.parametrize("flags", [[], ["--alpha", "-0.3"]])
+    def test_missing_section_is_named(self, tmp_path, capsys, key, flags):
+        d = preset("fig2-p2").to_dict()
+        del d[key]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        code = invoke(["run", "--config", str(cfg_path), *flags, "--output-dir", str(tmp_path)])
+        assert code == 2
+        assert f"error: config is missing '{key}'\n" in capsys.readouterr().err
 
     def test_infinite_kappa_is_config_error(self, tmp_path, capsys):
         code = invoke(["run", "--preset", "fig2-p2", "--kappa", "inf", "--output-dir", str(tmp_path)])

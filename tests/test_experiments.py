@@ -92,6 +92,26 @@ class TestConfig:
         path.write_text(json.dumps(PPOWER_CFG.to_dict()))
         assert load_config(path).label == "unit"
 
+    @pytest.mark.parametrize(
+        "section, key", [(None, "objective"), (None, "theta0"), (None, "flow"), ("objective", "name")]
+    )
+    def test_missing_section_is_named(self, section, key):
+        d = PPOWER_CFG.to_dict()
+        del (d[section] if section else d)[key]
+        with pytest.raises(ExperimentError, match=f"^{section or 'config'} is missing '{key}'$"):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("label", [[1], 1, None])
+    def test_label_of_the_wrong_type_is_config_error(self, label):
+        d = PPOWER_CFG.to_dict()
+        d["label"] = label
+        with pytest.raises(ExperimentError, match="label must be a string"):
+            config_from_dict(d)
+        base = PPOWER_CFG.to_dict()
+        base["sweep"] = [{"label": label}]
+        with pytest.raises(ExperimentError, match="label must be a string"):
+            expand(config_from_dict(base))
+
     def test_schema_version_guard(self):
         d = PPOWER_CFG.to_dict()
         d["schema_version"] = SCHEMA_VERSION + 1

@@ -2,12 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import Radau, solve_ivp
+from scipy.linalg import LinAlgWarning
 
 from ftflow.experiments import preset
-from ftflow.flow import FlowParams, FlowState, conservative_params
+from ftflow.flow import FlowParams, FlowState, conservative_params, flow_field
 from ftflow.integrate import (
     IntegrationError,
     IntegratorConfig,
+    _Radau,
     dopri5_step,
     integrate,
 )
@@ -217,7 +220,10 @@ class TestIntegrateFlow:
         assert traj.terminated_reason == "settled"
         assert traj.settled_at == pytest.approx(8.167812, abs=1e-3)
 
-    @pytest.mark.parametrize("name, grad_calls", [("fig2-p1.5", 19_540), ("fig2-p3", 2_282)])
+    @pytest.mark.parametrize(
+        "name, grad_calls",
+        [("fig2-p1.5", 19_540), ("fig2-p3", 2_282), ("fig1-right-interior", 15_051)],
+    )
     def test_gradient_calls_are_pinned(self, name, grad_calls):
         # every gradient evaluation of the explicit steps, the checks of
         # ||z||, the settling bisection and the implicit finish
@@ -283,3 +289,42 @@ class TestIntegrateFlow:
         s = traj.state_at(0)
         np.testing.assert_allclose(s.theta, [1.0, 0.0])
         np.testing.assert_allclose(s.v, [0.0, 0.0])
+
+
+# the interior flow near the Rosenbrock minimum, whose Hessian has an
+# eigenvalue near 1000: stiff for the explicit pair
+STIFF_FIELD = flow_field(
+    FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0), rosenbrock().gradient, 2
+)
+STIFF_Y0 = np.array([1.01, 1.03, 0.0, 0.0])
+
+
+class TestStiffFinishLU:
+    """The finish's LAPACK LU against stock scipy Radau's lu_factor/lu_solve."""
+
+    def test_same_solution_and_counts_as_stock_radau(self):
+        stock, direct = [
+            solve_ivp(STIFF_FIELD, (0.0, 0.5), STIFF_Y0, method=m, rtol=1e-8, atol=1e-12)
+            for m in (Radau, _Radau)
+        ]
+        assert stock.status == direct.status == 0
+        assert stock.nlu > 50
+        assert_same_bits(direct.t, stock.t)
+        assert_same_bits(direct.y, stock.y)
+        for count in ("nfev", "njev", "nlu"):
+            assert getattr(direct, count) == getattr(stock, count), count
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_same_checks_as_stock_radau(self, dtype):
+        solvers = [m(STIFF_FIELD, 0.0, STIFF_Y0, 0.5) for m in (Radau, _Radau)]
+        for solver in solvers:
+            LU = solver.lu(np.eye(4, dtype=dtype) * 3.0)
+            x = solver.solve_lu(LU, np.arange(4, dtype=dtype))
+            np.testing.assert_array_equal(x, np.arange(4) / 3.0)
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                solver.solve_lu(LU, np.array([1.0, np.nan, 0.0, 0.0], dtype=dtype))
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                solver.lu(np.full((4, 4), np.inf, dtype=dtype))
+            with pytest.warns(LinAlgWarning, match="Diagonal number 1 is exactly zero"):
+                solver.lu(np.zeros((4, 4), dtype=dtype))
+        assert [s.nlu for s in solvers] == [3, 3]

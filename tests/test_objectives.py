@@ -81,6 +81,26 @@ class TestBuiltins:
         with pytest.raises(ObjectiveError, match="dimm"):
             make_objective("ppower", {"p": 2.0, "dimm": 3})
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("ppower", {"p": None}, "ppower param p must be a number, got NoneType"),
+            ("ppower", {"dim": "2"}, "ppower param dim must be a number, got str"),
+            ("ppower", {"dim": True}, "ppower param dim must be a number, got bool"),
+            ("ppower", {"p": [2.0]}, "ppower param p must be a number, got list"),
+            ("quadratic", {"diag": "11"}, "diag must be a number or an array of numbers, got str"),
+            ("quadratic", {"diag": [1.0, None]}, "diag must be a number or an array of numbers"),
+        ],
+    )
+    def test_param_of_the_wrong_type_is_named(self, name, params, message):
+        with pytest.raises(ObjectiveError, match=message):
+            make_objective(name, params)
+
+    def test_params_of_the_right_type(self):
+        assert make_objective("ppower", {"p": 3, "dim": np.int64(3)}).dim == 3
+        assert make_objective("quadratic", {"diag": (1, 2.5)}).dim == 2
+        assert make_objective("quadratic", {"diag": 2.0}).dim == 1
+
 
 class TestFiniteDifferences:
     @pytest.mark.parametrize(
