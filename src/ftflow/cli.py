@@ -192,8 +192,9 @@ def _cmd_run(args) -> int:
     traj, summary = run_experiment(cfg)
     _export_run(traj, summary, args.output_dir)
     settled = f"settled_at={summary.settled_at:.6g}" if summary.settled_at is not None else "no settling"
+    gap = f"{summary.final_f_gap:.3e}" if summary.final_f_gap is not None else "-"
     print(
-        f"run {summary.label}: {settled}, final f-gap {summary.final_f_gap:.3e} "
+        f"run {summary.label}: {settled}, final f-gap {gap} "
         f"-> {args.output_dir}/{summary.label}.csv"
     )
     return 0

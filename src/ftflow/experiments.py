@@ -11,6 +11,7 @@ claimed, not curve-level reproduction.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -93,8 +94,9 @@ _CONFIG_KEYS = ("schema_version", "label", "objective", "theta0", "v0", "flow", 
 def check_shape(d) -> dict:
     """d, refused with an error naming the section unless it is an object that has an
     objective (with a name), theta0 and flow; its objective, objective params, flow,
-    integrator and sweep overrides are objects, theta0, v0, sweep arrays, label a string,
-    and schema_version and the flow and integrator values numbers (naming the key)."""
+    integrator and sweep overrides are objects, theta0, v0, sweep arrays, label a string
+    that can name a file in the output directory, and schema_version and the flow and
+    integrator values numbers (naming the key)."""
 
     def need(section, value, array=False):
         if not isinstance(value, (list, tuple) if array else dict):
@@ -109,8 +111,14 @@ def check_shape(d) -> dict:
     if "name" not in need("objective", d["objective"]):
         raise ExperimentError("objective is missing 'name'")
     need("objective params", d["objective"].get("params", {}))
-    if not isinstance(d.get("label", ""), str):
-        raise ExperimentError(f"label must be a string, got {type(d['label']).__name__}")
+    label = d.get("label", "run")
+    if not isinstance(label, str):
+        raise ExperimentError(f"label must be a string, got {type(label).__name__}")
+    # it names the run's artifacts inside the output directory
+    if label in ("", ".", "..") or any(c in label for c in "/\\\0"):
+        raise ExperimentError(
+            f"label {label!r} must name a file: not empty, '.' or '..', and no '/', '\\' or NUL"
+        )
     numbers = {"schema_version": d.get("schema_version", SCHEMA_VERSION)}
     for section in ("flow", "integrator"):
         numbers.update((f"{section} {k}", v) for k, v in need(section, d.get(section, {})).items())
@@ -170,8 +178,8 @@ class RunSummary:
     label: str
     settled_at: Optional[float]
     terminated_reason: str
-    final_f_gap: Optional[float]  # None for a failed run
-    final_state_error: Optional[float]  # None for a failed run or an unknown optimum
+    final_f_gap: Optional[float]  # None for a failed run or a non-finite final state
+    final_state_error: Optional[float]  # and None for an unknown optimum
     certificate: Optional[CertificateFit]
     admissibility: Optional[AdmissibilityReport]
     dominance_seed: int = DOMINANCE_SEED
@@ -222,6 +230,10 @@ def run(config: ExperimentConfig) -> tuple[Trajectory, RunSummary]:
     else:
         f_gap = float(f_final - np.min(traj.f))
         state_err = None
+    # a run that overflowed (non_finite at the start) has no final gap to report
+    f_gap, state_err = (
+        x if x is not None and math.isfinite(x) else None for x in (f_gap, state_err)
+    )
 
     certificate = certificate_error = None
     try:

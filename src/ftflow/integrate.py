@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import Radau, solve_ivp
+from scipy.integrate._ivp import radau as _radau
 from scipy.linalg import LinAlgWarning, get_lapack_funcs
 
 from .flow import SINGULAR_TOL, FlowParams, FlowState, flow_field, lyapunov
@@ -88,6 +89,17 @@ class Trajectory:
     `states` rows stack [theta, v]; per-sample channels hold the
     objective value f, the Lyapunov value V, its analytic derivative, the
     stacked norm ||z||, and (for conservative parameter sets) the energy.
+
+    `terminated_reason` says why the run ended:
+    - "settled": ||z|| fell to settle_tol, at `settled_at`;
+    - "horizon": the run reached t_max;
+    - "step_underflow": the step fell below MIN_STEP on finite values, with
+      the error control or the singularity guard still unmet;
+    - "non_finite": the step fell below MIN_STEP because the field or its
+      error estimate was NaN or inf (a NaN gradient, an overflowing ||z||,
+      also at the start).
+    The last sample is the last accepted state.  A failure of the implicit
+    finish and an exhausted step budget raise instead.
     """
 
     times: np.ndarray
@@ -99,7 +111,7 @@ class Trajectory:
     z_norm: np.ndarray
     energy: Optional[np.ndarray]
     settled_at: Optional[float]
-    terminated_reason: str  # settled | horizon | step_underflow
+    terminated_reason: str  # settled | horizon | step_underflow | non_finite
 
     def state_at(self, idx: int) -> FlowState:
         row = self.states[idx]
@@ -157,20 +169,100 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")  # asarray_chkfinite's
 
 
+def _rms(x: np.ndarray):
+    # scipy's Radau `norm`, np.linalg.norm(x) / sqrt(x.size), without the wrapper
+    x = x.ravel()
+    return np.sqrt(x.dot(x)) / x.size**0.5
+
+
+def _collocation(field, t, y, h, Z0, scale, tol, LU_real, LU_complex, solve_lu):
+    """scipy's `solve_collocation_system` on the field itself.
+
+    The simplified Newton iteration for the three Radau IIA stages Z (rows
+    at t + h C), run in the eigenbasis W = TI Z of the tableau with the
+    factors of MU/h I - J.  Returns (converged, n_iter, Z, rate); each
+    iteration evaluates the field three times, so it made 3 n_iter calls.
+    """
+    n = y.shape[0]
+    M_real = _radau.MU_REAL / h
+    M_complex = _radau.MU_COMPLEX / h
+    W = _radau.TI.dot(Z0)
+    Z = Z0
+    F = np.empty((3, n))
+    ch = h * _radau.C
+    dW_norm_old = None
+    dW = np.empty_like(W)
+    converged = False
+    rate = None
+    for k in range(_radau.NEWTON_MAXITER):
+        for i in range(3):
+            F[i] = field(t + ch[i], y + Z[i])
+        if not np.isfinite(F).all():
+            break
+        f_real = F.T.dot(_radau.TI_REAL) - M_real * W[0]
+        f_complex = F.T.dot(_radau.TI_COMPLEX) - M_complex * (W[1] + 1j * W[2])
+        dW[0] = solve_lu(LU_real, f_real)
+        dW_complex = solve_lu(LU_complex, f_complex)
+        dW[1] = dW_complex.real
+        dW[2] = dW_complex.imag
+        dW_norm = _rms(dW / scale)
+        if dW_norm_old is not None:
+            rate = dW_norm / dW_norm_old
+        if rate is not None and (
+            rate >= 1 or rate ** (_radau.NEWTON_MAXITER - k) / (1 - rate) * dW_norm > tol
+        ):
+            break
+        W += dW
+        Z = _radau.T.dot(W)
+        if dW_norm == 0 or rate is not None and rate / (1 - rate) * dW_norm < tol:
+            converged = True
+            break
+        dW_norm_old = dW_norm
+    return converged, k + 1, Z, rate
+
+
 class _Radau(Radau):
-    """scipy's Radau IIA whose dense LU factor and solve call LAPACK directly.
+    """scipy's Radau IIA with its step ported and its LU calling LAPACK directly.
+
+    `_step_impl` is scipy's Radau step (Hairer & Wanner, Solving ODEs II,
+    §IV.8): the collocation Newton solve, the error estimate with its
+    second solve after a rejection, `predict_factor` step control, the
+    dense-output predictor of the Newton start and the Jacobian refresh.
+    It runs the same numpy/BLAS operations on arrays of the same shapes,
+    with the tableau, `predict_factor` and `RadauDenseOutput` taken from
+    scipy, so every result, nfev, njev and nlu is bit-identical to stock
+    Radau; what it drops is scipy's per-step Python around them (the
+    `fun` wrappers, `np.linalg.norm`, `np.tile`/`np.cumprod`, the dense
+    output's `__call__`).  The field is called directly and nfev counted
+    here.  `__init__` (initial step, newton_tol, the finite-difference
+    Jacobian) is scipy's.
 
     The closures Radau.__init__ stores as `lu` and `solve_lu` wrap
     scipy.linalg's lu_factor and lu_solve, whose per-call checks and
     batching cost far more than the small systems here.  These run the same
     getrf/getrs on the same arrays with the same checks (finite input, the
-    singular-pivot LinAlgWarning, nlu), so every result is bit-identical.
-    Radau pairs each factor only with right-hand sides of its own dtype.
-    Dense Jacobians only: no jac_sparsity.
+    singular-pivot LinAlgWarning, nlu).  Radau pairs each factor only with
+    right-hand sides of its own dtype.
+
+    Only what the finish uses: a dense Jacobian that is evaluated, not
+    constant (the finish's is by finite differences), forward in time, no
+    max_step and a field that is not vectorized.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        if not (
+            self.jac is not None
+            and isinstance(self.J, np.ndarray)
+            and self.direction == 1
+            and self.max_step == np.inf
+            and not self.vectorized
+        ):
+            raise ValueError(
+                "_Radau needs an evaluated dense Jacobian, forward time, "
+                "no max_step and a field that is not vectorized"
+            )
+        self._field = fun
 
         def lu(A):
             self.nlu += 1
@@ -195,6 +287,122 @@ class _Radau(Radau):
             return x
 
         self.lu, self.solve_lu = lu, solve_lu
+
+    def _step_impl(self):
+        t, y, f = self.t, self.y, self.f
+        field, solve_lu, rtol, atol = self._field, self.solve_lu, self.rtol, self.atol
+
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if self.h_abs < min_step:
+            h_abs, h_abs_old, error_norm_old = min_step, None, None
+        else:
+            h_abs, h_abs_old, error_norm_old = self.h_abs, self.h_abs_old, self.error_norm_old
+
+        J, LU_real, LU_complex = self.J, self.LU_real, self.LU_complex
+        current_jac = self.current_jac
+        newton_scale = atol + np.abs(y) * rtol
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+
+            sol = self.sol
+            if sol is None:
+                Z0 = np.zeros((3, y.shape[0]))
+            else:
+                # the last step's interpolant at t + h C, as RadauDenseOutput
+                # evaluates it: powers x, x^2, x^3 as cumprod takes them, gemm by Q
+                x = (t + h * _radau.C - sol.t_old) / sol.h
+                p = np.empty((3, 3))
+                p[0] = x
+                p[1] = x * x
+                p[2] = p[1] * x
+                y_pred = np.dot(sol.Q, p)
+                y_pred += sol.y_old[:, None]
+                Z0 = y_pred.T - y
+
+            while True:
+                if LU_real is None or LU_complex is None:
+                    LU_real = self.lu(_radau.MU_REAL / h * self.I - J)
+                    LU_complex = self.lu(_radau.MU_COMPLEX / h * self.I - J)
+                converged, n_iter, Z, rate = _collocation(
+                    field, t, y, h, Z0, newton_scale, self.newton_tol, LU_real, LU_complex, solve_lu
+                )
+                self.nfev += 3 * n_iter
+                if converged or current_jac:
+                    break
+                J = self.jac(t, y, f)
+                current_jac = True
+                LU_real = LU_complex = None
+            if not converged:
+                h_abs *= 0.5
+                LU_real = LU_complex = None
+                continue
+
+            y_new = y + Z[-1]
+            ZE = Z.T.dot(_radau.E) / h
+            error = solve_lu(LU_real, f + ZE)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(error / scale)
+            safety = 0.9 * (2 * _radau.NEWTON_MAXITER + 1) / (2 * _radau.NEWTON_MAXITER + n_iter)
+            if rejected and error_norm > 1:
+                self.nfev += 1
+                error = solve_lu(LU_real, field(t, y + error) + ZE)
+                error_norm = _rms(error / scale)
+            if not error_norm > 1:  # a NaN error norm accepts, as in scipy
+                break
+            factor = _radau.predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+            h_abs *= max(_radau.MIN_FACTOR, safety * factor)
+            LU_real = LU_complex = None
+            rejected = True
+
+        recompute_jac = n_iter > 2 and rate > 1e-3
+        factor = _radau.predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+        factor = min(_radau.MAX_FACTOR, safety * factor)
+        if not recompute_jac and factor < 1.2:
+            factor = 1
+        else:
+            LU_real = LU_complex = None
+
+        self.nfev += 1
+        f_new = field(t_new, y_new)
+        if recompute_jac:
+            J = self.jac(t_new, y_new, f_new)
+        current_jac = recompute_jac
+
+        self.h_abs_old = self.h_abs
+        self.error_norm_old = error_norm
+        self.h_abs = h_abs * factor
+        self.y_old, self.t, self.y, self.f, self.Z = y, t_new, y_new, f_new, Z
+        self.LU_real, self.LU_complex, self.J = LU_real, LU_complex, J
+        self.current_jac = current_jac
+        self.t_old = t
+        self.sol = _radau.RadauDenseOutput(t, t_new, y, np.dot(Z.T, _radau.P))
+        return True, None
+
+
+def _dense_points(sol, grid):
+    """(tt, sol(tt)) for each tt of the increasing grid, bit for bit.
+
+    sol is the OdeSolution solve_ivp builds from _Radau's steps.  For each
+    tt it picks the segment sol(tt) picks (the last step that starts before
+    tt, clamped to the first and last) and evaluates that step's
+    RadauDenseOutput as its scalar call does (powers x, x x, (x x) x and a
+    gemv by Q), without their per-call wrappers.
+    """
+    ts, steps = sol.ts, sol.interpolants
+    k = 0
+    for tt in grid:
+        while k < len(steps) - 1 and ts[k + 1] < tt:
+            k += 1
+        step = steps[k]
+        x = (tt - step.t_old) / step.h
+        w = np.dot(step.Q, np.array([x, x * x, x * x * x]))
+        w += step.y_old
+        yield tt, w
 
 
 def _hermite(y0, y1, f0, f1, h, s):
@@ -253,9 +461,7 @@ def integrate(
         reason = "settled"
     else:
         h = INITIAL_STEP
-        k1 = field(t, y)
-        if not np.all(np.isfinite(k1)):
-            raise IntegrationError(f"non-finite field at t={t}, state={y}")
+        k1 = field(t, y)  # an inf k1 (overflowing ||z||) fails every step: non_finite
         z_cur, dev = z0, (y - y_eq).dot(y - y_eq)
 
         # Stagnation watch.  Two failure modes park the explicit pair above
@@ -306,7 +512,9 @@ def integrate(
                 if z_new is None:
                     h *= factor
                 if h < MIN_STEP:
-                    reason = "step_underflow"
+                    # a non-finite error norm at the smallest step: the field
+                    # is NaN or inf at or next to the state, so no step can help
+                    reason = "step_underflow" if math.isfinite(en) else "non_finite"
                     break
                 continue
             if z_new <= config.settle_tol:
@@ -370,8 +578,8 @@ def integrate(
                 )
             t_end = float(sol.t[-1])
             stride = config.record_stride / 4.0
-            for tt in np.arange(t + stride, t_end, stride):
-                yy = sol.sol(tt) + y_eq
+            for tt, w in _dense_points(sol.sol, np.arange(t + stride, t_end, stride)):
+                yy = w + y_eq
                 record(float(tt), yy, *znorm_of(yy))
             y_end = sol.y[:, -1] + y_eq
             record(t_end, y_end, *znorm_of(y_end))

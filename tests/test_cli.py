@@ -187,6 +187,40 @@ class TestRun:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "label", ["../escaped", "", "a/b", ".", "..", "a\\b", "a\0b"],
+        ids=["parent", "empty", "subdir", "dot", "dotdot", "backslash", "nul"],
+    )
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_label_that_names_no_file_is_refused_before_integrating(
+        self, tmp_path, capsys, monkeypatch, label, command
+    ):
+        def integrate(*args):
+            raise AssertionError("integrated a config with a bad label")
+
+        monkeypatch.setattr("ftflow.experiments.integrate", integrate)
+        d = preset("fig2-p2").to_dict()
+        if command == "sweep":
+            d["sweep"] = [{"label": "fine"}, {"label": label}]
+        else:
+            d["label"] = label
+        outdir = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        code = invoke([command, "--config", str(cfg_path), "--output-dir", str(outdir)])
+        assert code == 2
+        assert f"label {label!r} must name a file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_start_reports_non_finite_in_standard_json(self, tmp_path, capsys):
+        args = ["run", "--objective", "ppower", "--theta0", "1e200", "0"]
+        assert invoke([*args, "--output-dir", str(tmp_path)]) == 0
+        assert "final f-gap -" in capsys.readouterr().out
+        summary = strict_json((tmp_path / "ppower.summary.json").read_text())
+        assert summary["terminated_reason"] == "non_finite"
+        assert summary["final_f_gap"] is None and summary["final_state_error"] is None
+
     @pytest.mark.parametrize("key", ["objective", "theta0", "flow"])
     @pytest.mark.parametrize("flags", [[], ["--alpha", "-0.3"]])
     def test_missing_section_is_named(self, tmp_path, capsys, key, flags):

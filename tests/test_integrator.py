@@ -1,3 +1,5 @@
+import importlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,8 @@ from ftflow.integrate import (
     integrate,
 )
 from ftflow.objectives import p_power, quadratic, rosenbrock
+
+integrate_module = importlib.import_module("ftflow.integrate")  # the package exports the function
 
 PP_CFG = IntegratorConfig(
     rel_tol=1e-10, abs_tol=1e-13, t_max=50.0, settle_tol=1e-9, record_stride=0.02
@@ -222,7 +226,12 @@ class TestIntegrateFlow:
 
     @pytest.mark.parametrize(
         "name, grad_calls",
-        [("fig2-p1.5", 19_540), ("fig2-p3", 2_282), ("fig1-right-interior", 15_051)],
+        [
+            ("fig2-p1.5", 19_540),
+            ("fig2-p3", 2_282),
+            ("fig1-right-interior", 15_051),
+            ("fig1-right-pi", 43_503),  # settles on the Radau finish's terminal event
+        ],
     )
     def test_gradient_calls_are_pinned(self, name, grad_calls):
         # every gradient evaluation of the explicit steps, the checks of
@@ -239,6 +248,33 @@ class TestIntegrateFlow:
         calls[0] = 0  # registration evaluated the gradient at the optimum
         integrate(cfg.initial_state(), cfg.flow, counting, cfg.integrator)
         assert calls[0] == grad_calls
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_gradient_turning_nan_mid_run_ends_non_finite(self):
+        objective = p_power(2.0)
+
+        def gradient(theta, base=objective.gradient):
+            g = base(theta)
+            return g if theta.dot(theta) > 0.25 else np.full_like(g, np.nan)
+
+        state = FlowState(theta=np.array([1.0, 0.0]), v=np.zeros(2))
+        params = FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0)
+        traj = integrate(state, params, replace(objective, gradient=gradient))
+        assert traj.terminated_reason == "non_finite"
+        assert traj.settled_at is None
+        assert 0.9 < traj.times[-1] < 1.0
+        # the record stops at the last accepted state, where the gradient was finite
+        assert np.all(np.isfinite(traj.states)) and np.linalg.norm(traj.thetas[-1]) > 0.5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("theta0", [[1e200, 0.0], [1e160, 1e160]])
+    def test_overflowing_start_ends_non_finite(self, theta0):
+        # ||grad f||^2 overflows at the start, so the field is inf and every step fails
+        state = FlowState(theta=np.array(theta0), v=np.zeros(2))
+        params = FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0)
+        traj = integrate(state, params, p_power(2.0))
+        assert traj.terminated_reason == "non_finite"
+        assert len(traj) == 1 and traj.times[0] == 0.0 and traj.z_norm[0] == np.inf
 
     def test_start_at_equilibrium(self):
         state = FlowState(theta=np.array([1.0, 1.0]), v=np.zeros(2))
@@ -328,3 +364,128 @@ class TestStiffFinishLU:
             with pytest.warns(LinAlgWarning, match="Diagonal number 1 is exactly zero"):
                 solver.lu(np.zeros((4, 4), dtype=dtype))
         assert [s.nlu for s in solvers] == [3, 3]
+
+
+def van_der_pol(mu):
+    def field(t, y):
+        return np.array([y[1], mu * (1 - y[0] ** 2) * y[1] - y[0]])
+
+    return field
+
+
+def van_der_pol_until(t_nan):
+    """Van der Pol (mu = 1000) whose field turns NaN from t_nan on."""
+    stiff = van_der_pol(1000.0)
+    return lambda t, y: stiff(t, y) if t < t_nan else np.full(2, np.nan)
+
+
+# case: field, y0, t_end, rtol, atol, and the branches of the step it must reach
+STEP_CASES = {
+    "vdp1000-rtol1e-3": (
+        van_der_pol(1000.0), [2.0, 0.0], 3000.0, 1e-3, 1e-6,
+        {"error_reject", "newton_halve", "newton_refresh", "jac_recompute"},
+    ),
+    "vdp1000-rtol1e-6": (
+        van_der_pol(1000.0), [2.0, 0.0], 3000.0, 1e-6, 1e-6,
+        {"error_reject", "second_error_solve", "jac_recompute"},
+    ),
+    "rosenbrock-flow": (
+        STIFF_FIELD, STIFF_Y0, 0.5, 1e-8, 1e-12,
+        {"error_reject", "newton_refresh", "jac_recompute"},
+    ),
+    "nan-field": (van_der_pol_until(0.05), [2.0, 0.0], 1.0, 1e-6, 1e-6, {"newton_halve"}),
+}
+
+
+class TestStiffFinishStep:
+    """The ported Radau step against stock scipy Radau, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(STEP_CASES))
+    def test_same_steps_as_stock_radau(self, case, monkeypatch):
+        fun, y0, t_end, rtol, atol, branches = STEP_CASES[case]
+        solves = []  # (h, converged, n_iter) of each collocation solve in this step
+        collocation = integrate_module._collocation
+
+        def recorded(field, t, y, h, *args):
+            out = collocation(field, t, y, h, *args)
+            solves.append((h, out[0], out[1]))
+            return out
+
+        monkeypatch.setattr(integrate_module, "_collocation", recorded)
+        stock, port = (
+            m(fun, 0.0, np.array(y0), t_end, rtol=rtol, atol=atol) for m in (Radau, _Radau)
+        )
+        reached = Counter()
+        while stock.status == "running":
+            message = stock.step()
+            solves.clear()
+            nfev, njev = port.nfev, port.njev
+            assert port.step() == message
+            assert port.status == stock.status
+            assert_same_bits(np.append(port.y, port.t), np.append(stock.y, stock.t))
+            assert (port.nfev, port.njev, port.nlu) == (stock.nfev, stock.njev, stock.nlu)
+            # what followed each solve of this step: a new step size after a
+            # converged one is an error rejection; after a failed one, the
+            # same step size is a retry on a refreshed Jacobian, another a halving
+            kinds = Counter(
+                "error_reject" if converged else "newton_refresh" if h_next == h else "newton_halve"
+                for (h, converged, _), (h_next, _, _) in zip(solves, solves[1:])
+            )
+            reached.update(kinds)
+            # calls beyond the Newton iterations and the accepted step's f_new
+            reached["second_error_solve"] += (
+                port.nfev - nfev - 3 * sum(n for *_, n in solves) - (port.status != "failed")
+            )
+            # Jacobians beyond the refreshes are recomputed after the step
+            reached["jac_recompute"] += port.njev - njev - kinds["newton_refresh"]
+        assert port.status == ("failed" if case == "nan-field" else "finished")
+        assert {kind for kind, n in reached.items() if n > 0} >= branches, reached
+
+    def test_terminal_event_as_stock_radau(self):
+        def near_minimum(t, y):
+            return np.linalg.norm(y - [1.0, 1.0, 0.0, 0.0]) - 1e-3
+
+        near_minimum.terminal, near_minimum.direction = True, -1.0
+        stock, port = (
+            solve_ivp(
+                STIFF_FIELD, (0.0, 5.0), STIFF_Y0, method=m, rtol=1e-8, atol=1e-12,
+                events=near_minimum, dense_output=True,
+            )
+            for m in (Radau, _Radau)
+        )
+        assert stock.status == port.status == 1
+        assert_same_bits(port.t_events[0], stock.t_events[0])
+        assert_same_bits(port.y_events[0], stock.y_events[0])
+        assert_same_bits(port.t, stock.t)
+        assert_same_bits(port.y, stock.y)
+        grid = np.linspace(0.0, stock.t[-1], 7)
+        assert_same_bits(port.sol(grid), stock.sol(grid))
+        for count in ("nfev", "njev", "nlu"):
+            assert getattr(port, count) == getattr(stock, count), count
+
+    def test_dense_points_as_ode_solution(self):
+        # the recording grid of the finish, with every step boundary added:
+        # at a boundary OdeSolution takes the step that ends there
+        sol = solve_ivp(
+            STIFF_FIELD, (0.0, 0.5), STIFF_Y0, method=_Radau, rtol=1e-8, atol=1e-12,
+            dense_output=True,
+        )
+        grid = np.union1d(np.arange(0.005, 0.5, 0.005), sol.t[1:-1])
+        points = list(integrate_module._dense_points(sol.sol, grid))
+        assert [tt for tt, _ in points] == list(grid)
+        assert_same_bits(np.array([w for _, w in points]), np.array([sol.sol(tt) for tt in grid]))
+
+    @pytest.mark.parametrize(
+        "t_bound, options",
+        [
+            (-1.0, {}),
+            (1.0, {"max_step": 0.1}),
+            (1.0, {"jac": -np.eye(2)}),
+            (1.0, {"jac_sparsity": np.eye(2)}),
+            (1.0, {"vectorized": True}),
+        ],
+        ids=["backward", "max_step", "constant-jac", "sparse-jac", "vectorized"],
+    )
+    def test_refuses_what_the_port_does_not_cover(self, t_bound, options):
+        with pytest.raises(ValueError, match="^_Radau needs"):
+            _Radau(lambda t, y: -y, 0.0, np.ones(2), t_bound, **options)
