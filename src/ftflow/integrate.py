@@ -6,7 +6,9 @@ change ||z|| by more than 25% are rejected, since with alpha < 0 the
 field stiffens as ||z|| -> 0 and uncontrolled steps overshoot the
 equilibrium.  Settling (||z|| <= settle_tol) is refined by bisection on
 dense output inside the last accepted step, after which the state is
-frozen.
+frozen.  When the explicit pair stalls in the stiff terminal phase, the
+rest of the run is stepped with Radau IIA (`_Radau`), whose settling time
+is a root of ||z|| - settle_tol on the interpolant of the step it falls in.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import Radau, solve_ivp
+from scipy.integrate import Radau
 from scipy.integrate._ivp import radau as _radau
 from scipy.linalg import LinAlgWarning, get_lapack_funcs
+from scipy.optimize import brentq
 
 from .flow import SINGULAR_TOL, FlowParams, FlowState, flow_field, lyapunov
 from .objectives import Objective
@@ -99,7 +102,8 @@ class Trajectory:
       error estimate was NaN or inf (a NaN gradient, an overflowing ||z||,
       also at the start).
     The last sample is the last accepted state.  A failure of the implicit
-    finish and an exhausted step budget raise instead.
+    finish (its step shrinking to nothing, or the LU of a Jacobian with NaN
+    or inf entries) and an exhausted step budget raise IntegrationError.
     """
 
     times: np.ndarray
@@ -384,27 +388,6 @@ class _Radau(Radau):
         return True, None
 
 
-def _dense_points(sol, grid):
-    """(tt, sol(tt)) for each tt of the increasing grid, bit for bit.
-
-    sol is the OdeSolution solve_ivp builds from _Radau's steps.  For each
-    tt it picks the segment sol(tt) picks (the last step that starts before
-    tt, clamped to the first and last) and evaluates that step's
-    RadauDenseOutput as its scalar call does (powers x, x x, (x x) x and a
-    gemv by Q), without their per-call wrappers.
-    """
-    ts, steps = sol.ts, sol.interpolants
-    k = 0
-    for tt in grid:
-        while k < len(steps) - 1 and ts[k + 1] < tt:
-            k += 1
-        step = steps[k]
-        x = (tt - step.t_old) / step.h
-        w = np.dot(step.Q, np.array([x, x * x, x * x * x]))
-        w += step.y_old
-        yield tt, w
-
-
 def _hermite(y0, y1, f0, f1, h, s):
     """Cubic Hermite dense output on one step, s in [0, 1]."""
     a = 2 * (y0 - y1) + h * (f0 + f1)
@@ -549,45 +532,59 @@ def integrate(
                 break
 
         if stalled:
-            # Hand the stiff remainder to scipy's Radau IIA (_Radau: its LU
-            # factor and solve call LAPACK directly, bit-identical to stock
-            # Radau).  Solving in deviation coordinates (w = y - y_eq) keeps
-            # its relative error scaling consistent with the settling
-            # resolution above.
+            # Hand the stiff remainder to scipy's Radau IIA (_Radau: its step
+            # ported, bit-identical to stock Radau), stepped here until
+            # ||z|| falls to settle_tol or t_max.  Solving in deviation
+            # coordinates (w = y - y_eq) keeps its relative error scaling
+            # consistent with the settling resolution above.
             def field_dev(tt, w):
                 return field(tt, w + y_eq)
 
             def crossing(tt, w):
                 return znorm_of(w + y_eq)[0] - config.settle_tol
 
-            crossing.terminal = True
-            crossing.direction = -1.0
-            sol = solve_ivp(
-                field_dev,
-                (t, config.t_max),
-                y - y_eq,
-                method=_Radau,
-                rtol=config.rel_tol,
-                atol=config.abs_tol,
-                events=crossing,
-                dense_output=True,
+            w = y - y_eq
+            solver = _Radau(
+                field_dev, t, w, float(config.t_max), rtol=config.rel_tol, atol=config.abs_tol
             )
-            if sol.status < 0:
-                raise IntegrationError(
-                    f"implicit finish failed at t={sol.t[-1]}: {sol.message}"
-                )
-            t_end = float(sol.t[-1])
+            g = crossing(t, w)
             stride = config.record_stride / 4.0
-            for tt, w in _dense_points(sol.sol, np.arange(t + stride, t_end, stride)):
-                yy = w + y_eq
-                record(float(tt), yy, *znorm_of(yy))
-            y_end = sol.y[:, -1] + y_eq
+            grid = np.arange(t + stride, config.t_max, stride)
+            i = 0
+            settled = False
+            while not settled and solver.status == "running":
+                try:
+                    message = solver.step()
+                except ValueError as exc:  # the LU of a Jacobian with NaN or inf entries
+                    raise IntegrationError(f"implicit finish failed at t={solver.t}: {exc}") from exc
+                if solver.status == "failed":
+                    raise IntegrationError(f"implicit finish failed at t={solver.t}: {message}")
+                step, t_end, w = solver.sol, solver.t, solver.y
+                g_new = crossing(t_end, w)
+                settled = g >= 0 >= g_new  # ||z|| fell to settle_tol within the step
+                if settled:
+                    eps4 = 4 * np.finfo(float).eps
+                    t_end = brentq(
+                        lambda s: crossing(s, step(s)), step.t_old, t_end, xtol=eps4, rtol=eps4
+                    )
+                    w = step(t_end)
+                g = g_new
+                # the grid points the step covers, at its RadauDenseOutput's
+                # scalar values; a point on a step's end is that step's, but
+                # the finish's end is recorded below
+                last = settled or solver.status == "finished"
+                i_end = np.searchsorted(grid, t_end, "left" if last else "right")
+                for tt in grid[i:i_end]:
+                    x = (tt - step.t_old) / step.h
+                    yy = np.dot(step.Q, np.array([x, x * x, x * x * x]))
+                    yy += step.y_old
+                    yy += y_eq
+                    record(float(tt), yy, *znorm_of(yy))
+                i = i_end
+            y_end = w + y_eq
             record(t_end, y_end, *znorm_of(y_end))
-            if sol.status == 1:
-                settled_at = t_end
-                reason = "settled"
-            else:
-                reason = "horizon"
+            if settled:
+                settled_at, reason = t_end, "settled"
 
     # popped one at a time, so that each list is freed before the next array is built
     times, rows, fs, znorms, gnorms2, vnorms2 = [np.array(cols.pop(0)) for _ in range(6)]

@@ -1,4 +1,5 @@
 import importlib
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -463,18 +464,6 @@ class TestStiffFinishStep:
         for count in ("nfev", "njev", "nlu"):
             assert getattr(port, count) == getattr(stock, count), count
 
-    def test_dense_points_as_ode_solution(self):
-        # the recording grid of the finish, with every step boundary added:
-        # at a boundary OdeSolution takes the step that ends there
-        sol = solve_ivp(
-            STIFF_FIELD, (0.0, 0.5), STIFF_Y0, method=_Radau, rtol=1e-8, atol=1e-12,
-            dense_output=True,
-        )
-        grid = np.union1d(np.arange(0.005, 0.5, 0.005), sol.t[1:-1])
-        points = list(integrate_module._dense_points(sol.sol, grid))
-        assert [tt for tt, _ in points] == list(grid)
-        assert_same_bits(np.array([w for _, w in points]), np.array([sol.sol(tt) for tt in grid]))
-
     @pytest.mark.parametrize(
         "t_bound, options",
         [
@@ -489,3 +478,118 @@ class TestStiffFinishStep:
     def test_refuses_what_the_port_does_not_cover(self, t_bound, options):
         with pytest.raises(ValueError, match="^_Radau needs"):
             _Radau(lambda t, y: -y, 0.0, np.ones(2), t_bound, **options)
+
+
+def finish_via_solve_ivp(objective, params, config, t0, w0, method):
+    """The finish as solve_ivp drove it: `method` from the handoff (t0, w0)
+    in deviation coordinates, with a terminal event at ||z|| = settle_tol,
+    the recording grid read from the OdeSolution.  Returns the solve_ivp
+    result and the records (times, states) the finish added."""
+    n = objective.dim
+    y_eq = np.concatenate([objective.theta_star, np.zeros(n)])
+    field = flow_field(params, objective.gradient, n)
+
+    def crossing(t, w):
+        g, v = objective.grad(w[:n] + y_eq[:n]), w[n:]
+        return math.sqrt(g.dot(g) + v.dot(v)) - config.settle_tol
+
+    crossing.terminal, crossing.direction = True, -1.0
+    sol = solve_ivp(
+        lambda t, w: field(t, w + y_eq), (t0, config.t_max), w0, method=method,
+        rtol=config.rel_tol, atol=config.abs_tol, events=crossing, dense_output=True,
+    )
+    assert sol.status >= 0, sol.message
+    t_end = float(sol.t[-1])
+    stride = config.record_stride / 4.0
+    grid = np.arange(t0 + stride, t_end, stride)
+    times = np.append(grid, t_end)
+    states = np.array([sol.sol(tt) + y_eq for tt in grid] + [sol.y[:, -1] + y_eq])
+    return sol, times, states
+
+
+class TestStiffFinishDriver:
+    """integrate's Radau loop against the solve_ivp driver it replaced, bit for bit."""
+
+    def check(self, name, config, method, monkeypatch):
+        cfg = preset(name)
+        config = config or cfg.integrator
+        objective = cfg.objective()
+        calls = [0]
+
+        def gradient(theta, base=objective.gradient):
+            calls[0] += 1
+            return base(theta)
+
+        objective = replace(objective, gradient=gradient)
+        handoffs = []  # (t, w, gradient calls so far) at each construction of the finish
+
+        class Handoff(method):
+            def __init__(self, fun, t0, y0, t_bound, **options):
+                handoffs.append((t0, y0.copy(), calls[0]))
+                super().__init__(fun, t0, y0, t_bound, **options)
+
+        monkeypatch.setattr(integrate_module, "_Radau", Handoff)
+        calls[0] = 0
+        traj = integrate(cfg.initial_state(), cfg.flow, objective, config)
+        ((t0, w0, calls_explicit),) = handoffs
+        calls_finish, calls[0] = calls[0] - calls_explicit, 0
+        sol, times, states = finish_via_solve_ivp(objective, cfg.flow, config, t0, w0, method)
+        k = len(traj) - len(times)
+        assert traj.times[k - 1] == t0
+        assert_same_bits(traj.times[k:], times)
+        assert_same_bits(traj.states[k:], states)
+        # the same solve_ivp calls, and one more per record for its ||z||
+        assert calls_finish == calls[0] + len(times)
+        if sol.status == 1:
+            assert (traj.terminated_reason, traj.settled_at) == ("settled", times[-1])
+        else:
+            assert (traj.terminated_reason, traj.settled_at) == ("horizon", None)
+        return sol, times
+
+    def test_settles_on_the_event(self, monkeypatch):
+        sol, _ = self.check("fig1-right-interior", None, _Radau, monkeypatch)
+        assert sol.status == 1
+
+    def test_stops_at_the_horizon(self, monkeypatch):
+        # the heavy-ball member hands off at t = 28.6 and never settles
+        config = replace(preset("fig1-right-heavyball").integrator, t_max=32.0)
+        sol, times = self.check("fig1-right-heavyball", config, _Radau, monkeypatch)
+        assert sol.status == 0 and times[-1] == 32.0
+
+    def test_grid_points_on_step_ends(self, monkeypatch):
+        # steps shortened to end on a grid point when they cover one: a point
+        # on a step's end is that step's, as OdeSolution picks the segment
+        config = preset("fig1-right-interior").integrator
+        stride = config.record_stride / 4.0
+
+        class OnGrid(_Radau):
+            def __init__(self, fun, t0, y0, t_bound, **options):
+                super().__init__(fun, t0, y0, t_bound, **options)
+                self.grid = np.arange(t0 + stride, t_bound, stride)
+
+            def _step_impl(self):
+                covered = self.grid[(self.grid > self.t) & (self.grid <= self.t + self.h_abs)]
+                if covered.size:
+                    self.h_abs = covered[-1] - self.t
+                return super()._step_impl()
+
+        sol, times = self.check("fig1-right-interior", config, OnGrid, monkeypatch)
+        assert np.isin(sol.t[1:-1], times).sum() > 10
+
+    def test_gradient_turning_nan_in_finish_raises(self):
+        # a NaN gradient near the minimum makes the finite-difference
+        # Jacobian NaN, and its LU refuses it
+        cfg = preset("fig1-right-interior")
+        objective = cfg.objective()
+
+        def gradient(theta, base=objective.gradient):
+            g = base(theta)
+            return g if np.linalg.norm(theta - 1.0) > 1e-4 else np.full_like(g, np.nan)
+
+        with pytest.raises(
+            IntegrationError,
+            match=r"^implicit finish failed at t=[0-9.]+: array must not contain infs or NaNs$",
+        ):
+            integrate(
+                cfg.initial_state(), cfg.flow, replace(objective, gradient=gradient), cfg.integrator
+            )
