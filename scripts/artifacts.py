@@ -1,0 +1,41 @@
+#!/usr/bin/env python3
+"""Write every artifact a bit-identity check compares into one directory.
+
+Usage: PYTHONPATH=src python3 scripts/artifacts.py OUTDIR
+
+OUTDIR gets what `scripts/reproduce_figures.py` writes (`ftflow repro
+fig1`, `ftflow repro fig2` and `ftflow run --preset conservative`), and
+`ppower-sweep/` the 30 seed-1 members of the benchmark's `ppower-sweep`
+workload: the configs as `perfbench/workloads.py` generates and writes
+them, and each one's `ftflow run --config` artifacts.  Run it on two
+checkouts and compare the outputs with `diff -r`.  Exits with the first
+non-zero CLI exit code, else 0.
+"""
+
+import argparse
+import sys
+from pathlib import Path
+
+from ftflow.cli import main as cli
+from reproduce_figures import reproduce
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import MEMBERS, write_configs  # noqa: E402
+
+SWEEP_SEED = 1
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", help="artifact directory")
+    args = parser.parse_args()
+    code = reproduce(args.outdir)
+    sweep = Path(args.outdir) / "ppower-sweep"
+    for path in write_configs(MEMBERS["ppower-sweep"](SWEEP_SEED), sweep):
+        rc = cli(["run", "--config", str(path), "--output-dir", str(sweep)])
+        code = code or rc
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -226,7 +226,8 @@ def run(config: ExperimentConfig) -> tuple[Trajectory, RunSummary]:
     f_final = traj.f[-1]
     if objective.optimum is not None:
         f_gap = max(f_final - objective.f_star, 0.0)
-        state_err = float(np.linalg.norm(theta_final - objective.theta_star))
+        with np.errstate(over="ignore"):  # an overflowing state's error is inf, reported as None
+            state_err = float(np.linalg.norm(theta_final - objective.theta_star))
     else:
         f_gap = float(f_final - np.min(traj.f))
         state_err = None

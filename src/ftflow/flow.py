@@ -143,6 +143,11 @@ def flow_field(
     it makes the equilibrium an exact fixed point of any integrator.
     `gradient` is called once per evaluation and is not checked for
     finiteness; an overflowing ||z|| yields an inf field instead.
+
+    `field.rows(Y, out)` evaluates the field at each row of the stack Y
+    into the same row of `out`, bit for bit as `field` row by row (the
+    field does not depend on t): one gradient call and the same ||z|| per
+    row, then the formula once over all rows.
     """
     alpha, beta, gamma, kappa = params.alpha, params.beta, params.gamma, params.kappa
     # both halves as one 2n-wide formula over [g, g] and [v, v]; it is
@@ -164,6 +169,40 @@ def flow_field(
             return out
         return np.multiply(coef_g * g[ig] + coef_v * y[iv], (znorm ** alpha) * scale, out=out)
 
+    # rows forms of the coefficients by row count: numpy broadcasts a
+    # vector over rows far slower than it multiplies equal shapes
+    tiled = {}
+    scale_v = float(scale[n])  # -kappa, as the field scales v' by it
+
+    def rows(Y, out):
+        m = Y.shape[0]
+        if m not in tiled:
+            tiled[m] = np.tile(coef_g, (m, 1)), np.tile(coef_v, (m, 1))
+        cg, cv = tiled[m]
+        gs, scales, guarded = [], [], []
+        for i, y in enumerate(Y):
+            g = gradient(y[:n])
+            v = y[n:]
+            # BLAS dots as in `field`: a sum over the rows would round differently
+            znorm = math.sqrt(g.dot(g) + v.dot(v))
+            if SINGULAR_TOL < znorm < math.inf:
+                s = znorm ** alpha
+            else:
+                s = 0.0
+                guarded.append((i, 0.0 if znorm <= SINGULAR_TOL else np.inf))
+            gs.append(g)
+            # (znorm ** alpha) * scale as Python floats: the same products
+            scales.append([s] * n + [s * scale_v] * n)
+        G = np.array(gs).take(ig, axis=1)
+        V = Y.take(iv, axis=1)
+        for i, _ in guarded:  # zeros keep the formula finite on rows it does not fill
+            G[i] = V[i] = 0.0
+        np.multiply(cg * G + cv * V, np.array(scales), out=out)
+        for i, value in guarded:
+            out[i] = value
+        return out
+
+    field.rows = rows
     return field
 
 
@@ -181,9 +220,10 @@ def lyapunov(params: FlowParams, f_gap, g2, v2, znorm):
     alpha, beta, gamma, kappa = params.alpha, params.beta, params.gamma, params.kappa
     V = f_gap + (beta / (2.0 * gamma * kappa)) * v2
     znorm = np.asarray(znorm, dtype=float)
-    with np.errstate(divide="ignore"):
+    # a sample with an overflowing ||z|| gets a NaN dV/dt (0 * inf), unwarned
+    with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(znorm > SINGULAR_TOL, znorm ** alpha, 0.0)
-    Vdot = -scale * ((1.0 - beta) * g2 + (beta * (1.0 - gamma) / gamma) * v2)
+        Vdot = -scale * ((1.0 - beta) * g2 + (beta * (1.0 - gamma) / gamma) * v2)
     H = 0.5 * v2 + kappa * f_gap
     return V, Vdot, H
 

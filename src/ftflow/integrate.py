@@ -58,6 +58,7 @@ _E_COL = (_B5 - _B4)[_ERR_ROWS, None]
 
 INITIAL_STEP = 1e-4
 MIN_STEP = 1e-14
+MAX_STEPS = 5_000_000  # explicit step attempts before a run ends as "step_budget"
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,11 @@ class Trajectory:
       the error control or the singularity guard still unmet;
     - "non_finite": the step fell below MIN_STEP because the field or its
       error estimate was NaN or inf (a NaN gradient, an overflowing ||z||,
-      also at the start).
+      also at the start);
+    - "step_budget": the explicit phase made MAX_STEPS step attempts.
     The last sample is the last accepted state.  A failure of the implicit
     finish (its step shrinking to nothing, or the LU of a Jacobian with NaN
-    or inf entries) and an exhausted step budget raise IntegrationError.
+    or inf entries) raises IntegrationError.
     """
 
     times: np.ndarray
@@ -115,7 +117,7 @@ class Trajectory:
     z_norm: np.ndarray
     energy: Optional[np.ndarray]
     settled_at: Optional[float]
-    terminated_reason: str  # settled | horizon | step_underflow | non_finite
+    terminated_reason: str  # settled | horizon | step_underflow | non_finite | step_budget
 
     def state_at(self, idx: int) -> FlowState:
         row = self.states[idx]
@@ -160,6 +162,8 @@ def dopri5_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray):
     return y_new, err, K[6]
 
 
+_RADAU_C = _radau.C.tolist()
+
 # LAPACK getrf and getrs by dtype char, for the real (float64) and complex
 # (complex128) Radau systems
 _GETRF, _GETRS = (
@@ -168,24 +172,33 @@ _GETRF, _GETRS = (
 )
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    # count_nonzero skips the Python wrapper of ndarray.all
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def _require_finite(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise ValueError("array must not contain infs or NaNs")  # asarray_chkfinite's
 
 
-def _rms(x: np.ndarray):
-    # scipy's Radau `norm`, np.linalg.norm(x) / sqrt(x.size), without the wrapper
+def _rms(x: np.ndarray) -> float:
+    # scipy's Radau `norm`, np.linalg.norm(x) / sqrt(x.size), without the
+    # wrapper; math.sqrt rounds as np.sqrt does, and the float that follows
+    # runs the same operations as a numpy scalar, only faster
     x = x.ravel()
-    return np.sqrt(x.dot(x)) / x.size**0.5
+    return math.sqrt(x.dot(x)) / x.size**0.5
 
 
-def _collocation(field, t, y, h, Z0, scale, tol, LU_real, LU_complex, solve_lu):
+def _collocation(stages, t, y, h, Z0, scale, tol, LU_real, LU_complex, solve_lu):
     """scipy's `solve_collocation_system` on the field itself.
 
     The simplified Newton iteration for the three Radau IIA stages Z (rows
     at t + h C), run in the eigenbasis W = TI Z of the tableau with the
-    factors of MU/h I - J.  Returns (converged, n_iter, Z, rate); each
-    iteration evaluates the field three times, so it made 3 n_iter calls.
+    factors of MU/h I - J.  Returns (converged, n_iter, Z, rate).  Each
+    iteration makes one call `stages(t, h, Y, F)`, which writes the field
+    at the rows of Y, the states at t + h C, into the rows of F: 3 n_iter
+    field evaluations in all.
     """
     n = y.shape[0]
     M_real = _radau.MU_REAL / h
@@ -193,15 +206,13 @@ def _collocation(field, t, y, h, Z0, scale, tol, LU_real, LU_complex, solve_lu):
     W = _radau.TI.dot(Z0)
     Z = Z0
     F = np.empty((3, n))
-    ch = h * _radau.C
     dW_norm_old = None
     dW = np.empty_like(W)
     converged = False
     rate = None
     for k in range(_radau.NEWTON_MAXITER):
-        for i in range(3):
-            F[i] = field(t + ch[i], y + Z[i])
-        if not np.isfinite(F).all():
+        stages(t, h, y + Z, F)
+        if not _all_finite(F):
             break
         f_real = F.T.dot(_radau.TI_REAL) - M_real * W[0]
         f_complex = F.T.dot(_radau.TI_COMPLEX) - M_complex * (W[1] + 1j * W[2])
@@ -225,6 +236,18 @@ def _collocation(field, t, y, h, Z0, scale, tol, LU_real, LU_complex, solve_lu):
     return converged, k + 1, Z, rate
 
 
+def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
+    # scipy's predict_factor without its np.errstate, which costs more than
+    # the rest of it: at error_norm == 0 scipy's factor is 1 * 0 ** -0.25
+    if error_norm == 0:
+        return np.inf
+    if error_norm_old is None or h_abs_old is None:
+        multiplier = 1
+    else:
+        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
+    return min(1, multiplier) * error_norm ** -0.25
+
+
 class _Radau(Radau):
     """scipy's Radau IIA with its step ported and its LU calling LAPACK directly.
 
@@ -233,13 +256,16 @@ class _Radau(Radau):
     second solve after a rejection, `predict_factor` step control, the
     dense-output predictor of the Newton start and the Jacobian refresh.
     It runs the same numpy/BLAS operations on arrays of the same shapes,
-    with the tableau, `predict_factor` and `RadauDenseOutput` taken from
-    scipy, so every result, nfev, njev and nlu is bit-identical to stock
-    Radau; what it drops is scipy's per-step Python around them (the
-    `fun` wrappers, `np.linalg.norm`, `np.tile`/`np.cumprod`, the dense
-    output's `__call__`).  The field is called directly and nfev counted
-    here.  `__init__` (initial step, newton_tol, the finite-difference
-    Jacobian) is scipy's.
+    with the tableau and `RadauDenseOutput` taken from scipy, so every
+    result, nfev, njev and nlu is bit-identical to stock Radau; what it
+    drops is scipy's per-step Python around them (the `fun` wrappers,
+    `np.linalg.norm`, `np.tile`/`np.cumprod`, the dense output's
+    `__call__`, `predict_factor`'s errstate, `OdeSolver.step`).  The field
+    is called directly and nfev counted here.  A field with a rows form
+    (`fun.rows(Y, out)`, as `flow.flow_field` has; it does not depend on t)
+    evaluates the three collocation stages of a Newton iteration in one
+    call; any other is called once per stage.  `__init__` (initial step,
+    newton_tol, the finite-difference Jacobian) is scipy's.
 
     The closures Radau.__init__ stores as `lu` and `solve_lu` wrap
     scipy.linalg's lu_factor and lu_solve, whose per-call checks and
@@ -267,6 +293,19 @@ class _Radau(Radau):
                 "no max_step and a field that is not vectorized"
             )
         self._field = fun
+        rows = getattr(fun, "rows", None)
+        if rows is None:
+
+            def stages(t, h, Y, out):
+                for i, c in enumerate(_radau.C):
+                    out[i] = fun(t + h * c, Y[i])
+
+        else:
+
+            def stages(t, h, Y, out):
+                rows(Y, out)
+
+        self._stages = stages
 
         def lu(A):
             self.nlu += 1
@@ -291,6 +330,22 @@ class _Radau(Radau):
             return x
 
         self.lu, self.solve_lu = lu, solve_lu
+
+    def step(self):
+        # OdeSolver.step for the forward time __init__ requires (y is never
+        # empty); _step_impl sets t_old
+        if self.status != "running":
+            raise RuntimeError("Attempt to step on a failed or finished solver.")
+        if self.t == self.t_bound:
+            self.t_old, self.t = self.t, self.t_bound
+            self.status = "finished"
+            return None
+        success, message = self._step_impl()
+        if not success:
+            self.status = "failed"
+        elif self.t >= self.t_bound:
+            self.status = "finished"
+        return message
 
     def _step_impl(self):
         t, y, f = self.t, self.y, self.f
@@ -318,13 +373,11 @@ class _Radau(Radau):
                 Z0 = np.zeros((3, y.shape[0]))
             else:
                 # the last step's interpolant at t + h C, as RadauDenseOutput
-                # evaluates it: powers x, x^2, x^3 as cumprod takes them, gemm by Q
-                x = (t + h * _radau.C - sol.t_old) / sol.h
-                p = np.empty((3, 3))
-                p[0] = x
-                p[1] = x * x
-                p[2] = p[1] * x
-                y_pred = np.dot(sol.Q, p)
+                # evaluates it: powers x, x^2, x^3 as cumprod takes them (here
+                # on floats, the same products), gemm by Q
+                x = [(t + h * c - sol.t_old) / sol.h for c in _RADAU_C]
+                x2 = [a * a for a in x]
+                y_pred = np.dot(sol.Q, np.array([x, x2, [a * b for a, b in zip(x2, x)]]))
                 y_pred += sol.y_old[:, None]
                 Z0 = y_pred.T - y
 
@@ -333,7 +386,8 @@ class _Radau(Radau):
                     LU_real = self.lu(_radau.MU_REAL / h * self.I - J)
                     LU_complex = self.lu(_radau.MU_COMPLEX / h * self.I - J)
                 converged, n_iter, Z, rate = _collocation(
-                    field, t, y, h, Z0, newton_scale, self.newton_tol, LU_real, LU_complex, solve_lu
+                    self._stages, t, y, h, Z0, newton_scale, self.newton_tol,
+                    LU_real, LU_complex, solve_lu,
                 )
                 self.nfev += 3 * n_iter
                 if converged or current_jac:
@@ -358,13 +412,13 @@ class _Radau(Radau):
                 error_norm = _rms(error / scale)
             if not error_norm > 1:  # a NaN error norm accepts, as in scipy
                 break
-            factor = _radau.predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+            factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
             h_abs *= max(_radau.MIN_FACTOR, safety * factor)
             LU_real = LU_complex = None
             rejected = True
 
         recompute_jac = n_iter > 2 and rate > 1e-3
-        factor = _radau.predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+        factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
         factor = min(_radau.MAX_FACTOR, safety * factor)
         if not recompute_jac and factor < 1.2:
             factor = 1
@@ -395,6 +449,10 @@ def _hermite(y0, y1, f0, f1, h, s):
     return ((a * s + b) * s + h * f0) * s + y0
 
 
+# A run that turns non-finite ends with a reason (non_finite, or an
+# IntegrationError); the overflow and invalid-operation warnings numpy
+# would print on the way say nothing more.
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(
     state0: FlowState,
     params: FlowParams,
@@ -460,12 +518,12 @@ def integrate(
         stalled = False
         z_mark = z0
         attempts_mark = 0
-        max_steps = 5_000_000
         steps = 0
         while t < config.t_max:
             steps += 1
-            if steps > max_steps:
-                raise IntegrationError(f"step budget exhausted at t={t}")
+            if steps > MAX_STEPS:
+                reason = "step_budget"
+                break
             if (
                 steps - attempts_mark > 500
                 and z_cur < 1e-2 * z0
@@ -540,6 +598,11 @@ def integrate(
             def field_dev(tt, w):
                 return field(tt, w + y_eq)
 
+            def rows_dev(W, out):
+                return field.rows(W + y_eq, out)
+
+            field_dev.rows = rows_dev
+
             def crossing(tt, w):
                 return znorm_of(w + y_eq)[0] - config.settle_tol
 
@@ -573,13 +636,13 @@ def integrate(
                 # scalar values; a point on a step's end is that step's, but
                 # the finish's end is recorded below
                 last = settled or solver.status == "finished"
-                i_end = np.searchsorted(grid, t_end, "left" if last else "right")
-                for tt in grid[i:i_end]:
+                i_end = grid.searchsorted(t_end, "left" if last else "right")
+                for tt in grid[i:i_end].tolist():
                     x = (tt - step.t_old) / step.h
                     yy = np.dot(step.Q, np.array([x, x * x, x * x * x]))
                     yy += step.y_old
                     yy += y_eq
-                    record(float(tt), yy, *znorm_of(yy))
+                    record(tt, yy, *znorm_of(yy))
                 i = i_end
             y_end = w + y_eq
             record(t_end, y_end, *znorm_of(y_end))

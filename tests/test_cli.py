@@ -212,7 +212,6 @@ class TestRun:
         assert f"label {label!r} must name a file" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_start_reports_non_finite_in_standard_json(self, tmp_path, capsys):
         args = ["run", "--objective", "ppower", "--theta0", "1e200", "0"]
         assert invoke([*args, "--output-dir", str(tmp_path)]) == 0
@@ -220,6 +219,11 @@ class TestRun:
         summary = strict_json((tmp_path / "ppower.summary.json").read_text())
         assert summary["terminated_reason"] == "non_finite"
         assert summary["final_f_gap"] is None and summary["final_state_error"] is None
+
+    def test_overflowing_rosenbrock_gradient_is_an_integration_error(self, tmp_path, capsys):
+        args = ["run", "--objective", "rosenbrock", "--theta0", "1e200", "0"]
+        assert invoke([*args, "--output-dir", str(tmp_path)]) == 3
+        assert "error: non-finite gradient at theta=" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["objective", "theta0", "flow"])
     @pytest.mark.parametrize("flags", [[], ["--alpha", "-0.3"]])

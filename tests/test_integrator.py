@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import Radau, solve_ivp
+from scipy.integrate._ivp import radau as _radau
 from scipy.linalg import LinAlgWarning
 
 from ftflow.experiments import preset
@@ -250,7 +251,6 @@ class TestIntegrateFlow:
         integrate(cfg.initial_state(), cfg.flow, counting, cfg.integrator)
         assert calls[0] == grad_calls
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_gradient_turning_nan_mid_run_ends_non_finite(self):
         objective = p_power(2.0)
 
@@ -267,7 +267,6 @@ class TestIntegrateFlow:
         # the record stops at the last accepted state, where the gradient was finite
         assert np.all(np.isfinite(traj.states)) and np.linalg.norm(traj.thetas[-1]) > 0.5
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("theta0", [[1e200, 0.0], [1e160, 1e160]])
     def test_overflowing_start_ends_non_finite(self, theta0):
         # ||grad f||^2 overflows at the start, so the field is inf and every step fails
@@ -276,6 +275,17 @@ class TestIntegrateFlow:
         traj = integrate(state, params, p_power(2.0))
         assert traj.terminated_reason == "non_finite"
         assert len(traj) == 1 and traj.times[0] == 0.0 and traj.z_norm[0] == np.inf
+
+    def test_step_budget_ends_with_the_samples_so_far(self, monkeypatch):
+        full = ppower_traj(-0.8)
+        monkeypatch.setattr(integrate_module, "MAX_STEPS", 40)
+        traj = ppower_traj(-0.8)
+        assert (traj.terminated_reason, traj.settled_at) == ("step_budget", None)
+        # the first 40 attempts of the full run, every one accepted
+        assert len(traj) == 41
+        assert_same_bits(traj.times, full.times[:41])
+        assert_same_bits(traj.states, full.states[:41])
+        assert_same_bits(traj.V, full.V[:41])
 
     def test_start_at_equilibrium(self):
         state = FlowState(theta=np.array([1.0, 1.0]), v=np.zeros(2))
@@ -441,6 +451,78 @@ class TestStiffFinishStep:
             reached["jac_recompute"] += port.njev - njev - kinds["newton_refresh"]
         assert port.status == ("failed" if case == "nan-field" else "finished")
         assert {kind for kind, n in reached.items() if n > 0} >= branches, reached
+
+    def test_one_field_call_per_newton_iteration(self, monkeypatch):
+        # a field with a rows form evaluates the three stages of a Newton
+        # iteration in one call; a plain one is called once per stage, and
+        # both step as stock Radau does
+        calls = Counter()
+
+        def plain(t, y):
+            calls["field"] += 1
+            return STIFF_FIELD(t, y)
+
+        def batched(t, y):
+            return plain(t, y)
+
+        def rows(Y, out):
+            calls["rows"] += 1
+            calls["rows of 3"] += Y.shape == (3, 4)
+            return STIFF_FIELD.rows(Y, out)
+
+        batched.rows = rows
+        iterations = []
+        collocation = integrate_module._collocation
+
+        def recorded(*args):
+            out = collocation(*args)
+            iterations.append(out[1])
+            return out
+
+        monkeypatch.setattr(integrate_module, "_collocation", recorded)
+
+        def run(method, fun):
+            solver = method(fun, 0.0, STIFF_Y0, 0.5, rtol=1e-8, atol=1e-12)
+            while solver.status == "running":
+                solver.step()
+            assert solver.status == "finished"
+            return solver
+
+        stock = run(Radau, STIFF_FIELD)
+        counts = []  # (calls, Newton iterations) of the plain and the batched field
+        for fun in (plain, batched):
+            calls.clear()
+            iterations.clear()
+            port = run(_Radau, fun)
+            assert_same_bits(np.append(port.y, port.t), np.append(stock.y, stock.t))
+            assert (port.nfev, port.njev, port.nlu) == (stock.nfev, stock.njev, stock.nlu)
+            counts.append((Counter(calls), sum(iterations)))
+        (plain_calls, newton), (batched_calls, newton_batched) = counts
+        assert newton == newton_batched > 100
+        assert batched_calls["rows"] == batched_calls["rows of 3"] == newton
+        assert plain_calls["rows"] == 0
+        assert plain_calls["field"] == batched_calls["field"] + 3 * newton
+
+    def test_predict_factor_as_scipy(self):
+        # scipy's on numpy error norms, as stock Radau passes them; at a zero
+        # error norm without its divide-by-zero warning
+        rng = np.random.default_rng(3)
+        cases = [(1.0, None, 0.0, None), (1.0, 0.5, 0.0, 0.3), (1.0, 0.5, np.inf, 0.3),
+                 (1.0, 0.5, np.nan, 0.3), (1.0, 0.5, 0.2, 0.0), (1.0, None, 0.2, 0.3)]
+        cases += [
+            (rng.uniform(1e-6, 1.0), rng.uniform(1e-6, 1.0), *np.exp(rng.uniform(-30.0, 10.0, 2)))
+            for _ in range(500)
+        ]
+        for h_abs, h_abs_old, error_norm, error_norm_old in cases:
+            with np.errstate(divide="ignore"):
+                expected = _radau.predict_factor(
+                    h_abs, h_abs_old, np.float64(error_norm),
+                    None if error_norm_old is None else np.float64(error_norm_old),
+                )
+            got = integrate_module._predict_factor(
+                h_abs, h_abs_old, float(error_norm), error_norm_old
+            )
+            assert_same_bits(np.array([got]), np.array([expected]))
 
     def test_terminal_event_as_stock_radau(self):
         def near_minimum(t, y):

@@ -34,6 +34,30 @@ class TestBuiltins:
         # f(0, 0) = (1-0)^2 + 100 (0-0)^2 = 1
         assert obj.f(np.zeros(2)) == pytest.approx(1.0)
 
+    def test_rosenbrock_on_floats_as_on_numpy_scalars(self):
+        # Python floats run the same IEEE operations and libm pow as numpy
+        # scalars, bit for bit, also where x ** 2 overflows to inf
+        def value(t):
+            return 100.0 * (t[1] - t[0] ** 2) ** 2 + (1.0 - t[0]) ** 2
+
+        def gradient(t):
+            return np.array(
+                [
+                    -400.0 * t[0] * (t[1] - t[0] ** 2) - 2.0 * (1.0 - t[0]),
+                    200.0 * (t[1] - t[0] ** 2),
+                ]
+            )
+
+        rng = np.random.default_rng(11)
+        scales = rng.choice([1e-3, 1.0, 1e3, 1e100, 1e160, 1e200], (3000, 1))
+        obj = rosenbrock()
+        for t in rng.normal(size=(3000, 2)) * scales:
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = np.append(gradient(t), value(t))
+            got = np.append(obj.gradient(t), obj.value(t))
+            assert np.array_equal(np.isnan(got), np.isnan(expected))
+            assert np.nan_to_num(got).tobytes() == np.nan_to_num(expected).tobytes(), t
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_p_power_scaling(self, p):
         obj = p_power(p)
