@@ -160,10 +160,10 @@ def select_epsilon_sigma(
     and eps <= beta/(kappa (1-gamma)) when gamma < 1), then halves eps
     until every applicable block matrix is positive definite.
     """
-    if L <= 0.0:
-        raise CertificateError("L must be positive")
+    if not 0.0 < L < np.inf:
+        raise CertificateError(f"L must be positive and finite, got {L}")
     case = structural_case(params)
-    if case == "pi" and (m is None or m <= 0.0):
+    if case == "pi" and (m is None or not m > 0.0):  # a NaN m fails too
         raise CertificateError("the gamma = 1 case needs a Hessian lower bound m > 0")
 
     thresholds = [np.sqrt(params.beta / (params.gamma * params.kappa * L))]
@@ -321,8 +321,10 @@ def settling_envelope(f0_gap: float, alpha: float, rho: float, C: float):
     decay envelope t -> C (T_s - t)^(-1/alpha) on [0, T_s), 0 after."""
     if not (-1.0 < alpha < 0.0):
         raise CertificateError(f"alpha must lie in (-1, 0), got {alpha}")
-    if f0_gap <= 0.0 or rho <= 0.0 or C <= 0.0:
-        raise CertificateError("f0_gap, rho, and C must be positive")
+    if not all(0.0 < x < np.inf for x in (f0_gap, rho, C)):
+        raise CertificateError(
+            f"f0_gap, rho, and C must be positive and finite, got {f0_gap}, {rho}, {C}"
+        )
     t_s = 2.0 * f0_gap ** (-alpha / 2.0) / (-alpha * rho)
 
     def envelope(t: float) -> float:
@@ -339,10 +341,10 @@ def verify_power_bound(a: float, delta: float, grid: int = 200) -> tuple[float, 
     Uses the constant C = 2^(a-1) max{1, delta^(a-1)} and returns the
     worst signed slack over a (grid+1)^2 lattice (positive = violation).
     """
-    if a < 1.0:
-        raise CertificateError("a must be >= 1")
-    if delta <= 0.0:
-        raise CertificateError("delta must be positive")
+    if not 1.0 <= a < np.inf:
+        raise CertificateError(f"a must be >= 1 and finite, got {a}")
+    if not 0.0 < delta < np.inf:
+        raise CertificateError(f"delta must be positive and finite, got {delta}")
     if grid < 10:
         raise CertificateError("grid must be >= 10")
     C = 2.0 ** (a - 1.0) * max(1.0, delta ** (a - 1.0))
@@ -360,8 +362,8 @@ def lower_upper_bounds(
     dominance: DominanceEstimate,
 ) -> tuple[float, float]:
     """Sandwich bounds c1 ||z||^2 <= V <= c2 (||grad f||^(1/eta) + ||v||^2)."""
-    if L <= 0.0:
-        raise CertificateError("L must be positive")
+    if not 0.0 < L < np.inf:
+        raise CertificateError(f"L must be positive and finite, got {L}")
     eta = dominance.eta
     ratio = params.beta / (2.0 * params.gamma * params.kappa)
     c1 = min(1.0 / (2.0 * L), ratio)

@@ -220,6 +220,10 @@ def run(config: ExperimentConfig) -> tuple[Trajectory, RunSummary]:
     `admissibility_error` say what was raised instead.
     """
     objective = config.objective()
+    if len(config.theta0) != objective.dim:
+        raise ExperimentError(
+            f"theta0 has {len(config.theta0)} entries, the objective's dim is {objective.dim}"
+        )
     traj = integrate(config.initial_state(), config.flow, objective, config.integrator)
 
     theta_final = traj.thetas[-1]

@@ -77,13 +77,11 @@ class IntegratorConfig:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not self.settle_tol > SINGULAR_TOL:
-            raise ValueError("settle_tol must exceed the field's SINGULAR_TOL")
-        if not 0.0 < self.t_max < np.inf:
-            raise ValueError("t_max must be positive and finite")
-        for name in ("record_stride", "rel_tol", "abs_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        if not SINGULAR_TOL < self.settle_tol < np.inf:
+            raise ValueError("settle_tol must be finite and exceed the field's SINGULAR_TOL")
+        for name in ("t_max", "record_stride", "rel_tol", "abs_tol"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -190,15 +188,15 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size**0.5
 
 
-def _collocation(stages, t, y, h, Z0, scale, tol, LU_real, LU_complex, solve_lu):
-    """scipy's `solve_collocation_system` on the field itself.
+def _collocation(rows, y, h, Z0, scale, tol, LU_real, LU_complex, solve_lu):
+    """scipy's `solve_collocation_system` on the field's rows form.
 
     The simplified Newton iteration for the three Radau IIA stages Z (rows
     at t + h C), run in the eigenbasis W = TI Z of the tableau with the
     factors of MU/h I - J.  Returns (converged, n_iter, Z, rate).  Each
-    iteration makes one call `stages(t, h, Y, F)`, which writes the field
-    at the rows of Y, the states at t + h C, into the rows of F: 3 n_iter
-    field evaluations in all.
+    iteration makes one call `rows(y + Z, F)`, which writes the field at
+    the three stage states into the rows of F: 3 n_iter field evaluations
+    in all.
     """
     n = y.shape[0]
     M_real = _radau.MU_REAL / h
@@ -211,7 +209,7 @@ def _collocation(stages, t, y, h, Z0, scale, tol, LU_real, LU_complex, solve_lu)
     converged = False
     rate = None
     for k in range(_radau.NEWTON_MAXITER):
-        stages(t, h, y + Z, F)
+        rows(y + Z, F)
         if not _all_finite(F):
             break
         f_real = F.T.dot(_radau.TI_REAL) - M_real * W[0]
@@ -257,15 +255,12 @@ class _Radau(Radau):
     dense-output predictor of the Newton start and the Jacobian refresh.
     It runs the same numpy/BLAS operations on arrays of the same shapes,
     with the tableau and `RadauDenseOutput` taken from scipy, so every
-    result, nfev, njev and nlu is bit-identical to stock Radau; what it
-    drops is scipy's per-step Python around them (the `fun` wrappers,
-    `np.linalg.norm`, `np.tile`/`np.cumprod`, the dense output's
-    `__call__`, `predict_factor`'s errstate, `OdeSolver.step`).  The field
-    is called directly and nfev counted here.  A field with a rows form
+    result, nfev, njev and nlu is bit-identical to stock Radau.  The field
+    is called directly and nfev counted here; its rows form
     (`fun.rows(Y, out)`, as `flow.flow_field` has; it does not depend on t)
     evaluates the three collocation stages of a Newton iteration in one
-    call; any other is called once per stage.  `__init__` (initial step,
-    newton_tol, the finite-difference Jacobian) is scipy's.
+    call.  `__init__` (initial step, newton_tol, the finite-difference
+    Jacobian) and `step` are scipy's; `integrate` calls `_step_impl` itself.
 
     The closures Radau.__init__ stores as `lu` and `solve_lu` wrap
     scipy.linalg's lu_factor and lu_solve, whose per-call checks and
@@ -274,38 +269,13 @@ class _Radau(Radau):
     singular-pivot LinAlgWarning, nlu).  Radau pairs each factor only with
     right-hand sides of its own dtype.
 
-    Only what the finish uses: a dense Jacobian that is evaluated, not
-    constant (the finish's is by finite differences), forward in time, no
-    max_step and a field that is not vectorized.
+    The port covers what `integrate` builds: a Jacobian by finite
+    differences, forward time, no max_step and a field that is not vectorized.
     """
 
     def __init__(self, fun, t0, y0, t_bound, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
-        if not (
-            self.jac is not None
-            and isinstance(self.J, np.ndarray)
-            and self.direction == 1
-            and self.max_step == np.inf
-            and not self.vectorized
-        ):
-            raise ValueError(
-                "_Radau needs an evaluated dense Jacobian, forward time, "
-                "no max_step and a field that is not vectorized"
-            )
-        self._field = fun
-        rows = getattr(fun, "rows", None)
-        if rows is None:
-
-            def stages(t, h, Y, out):
-                for i, c in enumerate(_radau.C):
-                    out[i] = fun(t + h * c, Y[i])
-
-        else:
-
-            def stages(t, h, Y, out):
-                rows(Y, out)
-
-        self._stages = stages
+        self._field, self._rows = fun, fun.rows
 
         def lu(A):
             self.nlu += 1
@@ -330,22 +300,6 @@ class _Radau(Radau):
             return x
 
         self.lu, self.solve_lu = lu, solve_lu
-
-    def step(self):
-        # OdeSolver.step for the forward time __init__ requires (y is never
-        # empty); _step_impl sets t_old
-        if self.status != "running":
-            raise RuntimeError("Attempt to step on a failed or finished solver.")
-        if self.t == self.t_bound:
-            self.t_old, self.t = self.t, self.t_bound
-            self.status = "finished"
-            return None
-        success, message = self._step_impl()
-        if not success:
-            self.status = "failed"
-        elif self.t >= self.t_bound:
-            self.status = "finished"
-        return message
 
     def _step_impl(self):
         t, y, f = self.t, self.y, self.f
@@ -386,7 +340,7 @@ class _Radau(Radau):
                     LU_real = self.lu(_radau.MU_REAL / h * self.I - J)
                     LU_complex = self.lu(_radau.MU_COMPLEX / h * self.I - J)
                 converged, n_iter, Z, rate = _collocation(
-                    self._stages, t, y, h, Z0, newton_scale, self.newton_tol,
+                    self._rows, y, h, Z0, newton_scale, self.newton_tol,
                     LU_real, LU_complex, solve_lu,
                 )
                 self.nfev += 3 * n_iter
@@ -615,12 +569,12 @@ def integrate(
             grid = np.arange(t + stride, config.t_max, stride)
             i = 0
             settled = False
-            while not settled and solver.status == "running":
+            while not settled and solver.t < solver.t_bound:
                 try:
-                    message = solver.step()
+                    success, message = solver._step_impl()
                 except ValueError as exc:  # the LU of a Jacobian with NaN or inf entries
                     raise IntegrationError(f"implicit finish failed at t={solver.t}: {exc}") from exc
-                if solver.status == "failed":
+                if not success:
                     raise IntegrationError(f"implicit finish failed at t={solver.t}: {message}")
                 step, t_end, w = solver.sol, solver.t, solver.y
                 g_new = crossing(t_end, w)
@@ -635,7 +589,7 @@ def integrate(
                 # the grid points the step covers, at its RadauDenseOutput's
                 # scalar values; a point on a step's end is that step's, but
                 # the finish's end is recorded below
-                last = settled or solver.status == "finished"
+                last = settled or solver.t >= solver.t_bound
                 i_end = grid.searchsorted(t_end, "left" if last else "right")
                 for tt in grid[i:i_end].tolist():
                     x = (tt - step.t_old) / step.h

@@ -165,8 +165,11 @@ class TestSchur:
         assert all(r.pd for r in reports)
 
     def test_select_epsilon_rejects_bad_L(self):
-        with pytest.raises(CertificateError):
-            select_epsilon_sigma(INTERIOR, L=0.0)
+        for L in (0.0, np.nan, np.inf):
+            with pytest.raises(CertificateError, match="^L must be positive and finite"):
+                select_epsilon_sigma(INTERIOR, L=L)
+        with pytest.raises(CertificateError, match="needs a Hessian lower bound"):
+            select_epsilon_sigma(pi_params(alpha=-0.5, beta=0.5, kappa=1.0), L=1.0, m=np.nan)
 
 
 class TestAdmissibility:
@@ -274,6 +277,10 @@ class TestEnvelope:
             dict(f0_gap=0.5, alpha=-1.0, rho=1.0, C=1.0),
             dict(f0_gap=0.0, alpha=-0.5, rho=1.0, C=1.0),
             dict(f0_gap=0.5, alpha=-0.5, rho=0.0, C=1.0),
+            dict(f0_gap=np.nan, alpha=-0.5, rho=1.0, C=1.0),
+            dict(f0_gap=0.5, alpha=np.nan, rho=1.0, C=1.0),
+            dict(f0_gap=0.5, alpha=-0.5, rho=np.nan, C=1.0),
+            dict(f0_gap=0.5, alpha=-0.5, rho=1.0, C=np.nan),
         ],
     )
     def test_invalid_arguments(self, kwargs):
@@ -299,6 +306,9 @@ class TestPowerBound:
             verify_power_bound(2.0, 0.0)
         with pytest.raises(CertificateError):
             verify_power_bound(2.0, 1.0, grid=5)
+        for a, delta in [(np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan), (2.0, np.inf)]:
+            with pytest.raises(CertificateError, match="must be"):
+                verify_power_bound(a, delta)
 
 
 class TestSandwichBounds:
@@ -317,5 +327,6 @@ class TestSandwichBounds:
         obj = p_power(2.0)
         dom = DominanceEstimate(p=2.0, mu=1.0, sample_count=64, residual=0.0)
         state = FlowState(theta=np.ones(2), v=np.zeros(2))
-        with pytest.raises(CertificateError):
-            lower_upper_bounds(state, INTERIOR, obj, L=0.0, dominance=dom)
+        for L in (0.0, np.nan, np.inf):
+            with pytest.raises(CertificateError, match="^L must be positive and finite"):
+                lower_upper_bounds(state, INTERIOR, obj, L=L, dominance=dom)

@@ -241,6 +241,12 @@ class TestRun:
         assert code == 2
         assert "kappa must be positive and finite" in capsys.readouterr().err
 
+    def test_infinite_settle_tol_is_config_error(self, tmp_path, capsys):
+        args = ["run", "--preset", "fig2-p2", "--settle-tol", "inf"]
+        assert invoke([*args, "--output-dir", str(tmp_path)]) == 2
+        assert "error: settle_tol must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         code = invoke(
             ["run", "--config", str(tmp_path / "absent.json"), "--output-dir", str(tmp_path)]
@@ -277,8 +283,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "override, code",
-        # ObjectiveError; IntegrationError (theta0 has dim 2); ObjectiveError
-        [({"p": 0.5}, 2), ({"dim": 3}, 3), ({"dim": 2.5}, 2)],
+        # ObjectiveError; ExperimentError (theta0 has 2 entries); ObjectiveError
+        [({"p": 0.5}, 2), ({"dim": 3}, 2), ({"dim": 2.5}, 2)],
     )
     def test_failing_member_keeps_the_others(self, tmp_path, capsys, override, code):
         cfg = replace(
@@ -395,6 +401,13 @@ class TestGradcheckAndLemma:
         assert invoke(argv) == 3
         assert "gradient check failed" in capsys.readouterr().err
         assert json.loads((tmp_path / "gradcheck.json").read_text())["pass"] is False
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_gradcheck_needs_a_sample(self, tmp_path, capsys, samples):
+        argv = ["gradcheck", "--objective", "rosenbrock", "--samples", samples]
+        assert invoke([*argv, "--output-dir", str(tmp_path)]) == 2
+        assert f"error: --samples must be at least 1, got {samples}\n" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_verify_lemma1_pass(self, capsys):
         code = invoke(["verify-lemma1", "--a", "2", "--delta", "1"])

@@ -216,6 +216,15 @@ class TestRun:
         assert summaries[1].error is not None
         assert summaries[1].terminated_reason == "error"
 
+    def test_theta0_of_the_wrong_length_is_config_error(self):
+        cfg = replace(PPOWER_CFG, objective_params={"p": 2.0, "dim": 3})
+        message = "theta0 has 2 entries, the objective's dim is 3"
+        with pytest.raises(ExperimentError, match=f"^{message}$"):
+            run(cfg)
+        # a sweep member reports it in its summary
+        ((traj, summary),) = sweep(replace(cfg, sweep=({"label": "short"},)))
+        assert traj is None and summary.error == f"ExperimentError: {message}"
+
     def test_pooled_sweep_matches_in_process_runs(self):
         # three members: on more than one usable CPU they go through the pool
         cfg = preset("fig2")

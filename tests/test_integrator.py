@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -56,10 +57,15 @@ class TestConfig:
             dict(record_stride=float("nan")),
             dict(rel_tol=float("nan")),
             dict(abs_tol=float("nan")),
+            dict(rel_tol=float("inf")),
+            dict(abs_tol=float("inf")),
+            dict(settle_tol=float("inf")),
+            dict(record_stride=float("inf")),
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             IntegratorConfig(**kwargs)
 
 
@@ -233,6 +239,9 @@ class TestIntegrateFlow:
             ("fig2-p3", 2_282),
             ("fig1-right-interior", 15_051),
             ("fig1-right-pi", 43_503),  # settles on the Radau finish's terminal event
+            ("fig1-left-a025", 14_093),
+            ("fig1-left-a075", 15_163),
+            ("fig1-right-heavyball", 93_246),  # runs the Radau finish to the horizon
         ],
     )
     def test_gradient_calls_are_pinned(self, name, grad_calls):
@@ -377,18 +386,43 @@ class TestStiffFinishLU:
         assert [s.nlu for s in solvers] == [3, 3]
 
 
+def with_rows(f):
+    """f given the rows form `f.rows(Y, out)` that the port evaluates its
+    Newton stages with: f at each row of Y, at t = 0, so f must not read t."""
+
+    def rows(Y, out):
+        for i, y in enumerate(Y):
+            out[i] = f(0.0, y)
+        return out
+
+    f.rows = rows
+    return f
+
+
 def van_der_pol(mu):
     def field(t, y):
         return np.array([y[1], mu * (1 - y[0] ** 2) * y[1] - y[0]])
 
-    return field
+    return with_rows(field)
 
 
-def van_der_pol_until(t_nan):
-    """Van der Pol (mu = 1000) whose field turns NaN from t_nan on."""
+def van_der_pol_nan_below(y0_nan):
+    """Van der Pol (mu = 1000), NaN where y[0] < y0_nan."""
     stiff = van_der_pol(1000.0)
-    return lambda t, y: stiff(t, y) if t < t_nan else np.full(2, np.nan)
+    return with_rows(lambda t, y: stiff(t, y) if y[0] >= y0_nan else np.full(2, np.nan))
 
+
+def nan_corner(t, y):
+    """y' = (1, 1), NaN where both components exceed 1.  The finite-difference
+    Jacobian moves one component at a time and never reaches the NaN; the
+    Newton stages, on the diagonal, do, until no step is large enough to
+    leave the current state."""
+    return np.full(2, np.nan) if y[0] > 1.0 and y[1] > 1.0 else np.ones(2)
+
+
+# how a step can end other than accepted: the LU of a Jacobian with NaN
+# entries raises, or the step falls below 10 ulps of t
+ENDS = {"jac_lu_error", "too_small_step"}
 
 # case: field, y0, t_end, rtol, atol, and the branches of the step it must reach
 STEP_CASES = {
@@ -404,7 +438,14 @@ STEP_CASES = {
         STIFF_FIELD, STIFF_Y0, 0.5, 1e-8, 1e-12,
         {"error_reject", "newton_refresh", "jac_recompute"},
     ),
-    "nan-field": (van_der_pol_until(0.05), [2.0, 0.0], 1.0, 1e-6, 1e-6, {"newton_halve"}),
+    "nan-field": (
+        van_der_pol_nan_below(2.0 - 1e-5), [2.0, 0.0], 1.0, 1e-6, 1e-6,
+        {"newton_halve", "newton_refresh", "jac_lu_error"},
+    ),
+    "too-small-step": (
+        with_rows(nan_corner), [0.0, 0.0], 3.0, 1e-6, 1e-6,
+        {"newton_halve", "newton_refresh", "too_small_step"},
+    ),
 }
 
 
@@ -413,12 +454,13 @@ class TestStiffFinishStep:
 
     @pytest.mark.parametrize("case", list(STEP_CASES))
     def test_same_steps_as_stock_radau(self, case, monkeypatch):
+        # the port is stepped as integrate steps it, by _step_impl
         fun, y0, t_end, rtol, atol, branches = STEP_CASES[case]
         solves = []  # (h, converged, n_iter) of each collocation solve in this step
         collocation = integrate_module._collocation
 
-        def recorded(field, t, y, h, *args):
-            out = collocation(field, t, y, h, *args)
+        def recorded(rows, y, h, *args):
+            out = collocation(rows, y, h, *args)
             solves.append((h, out[0], out[1]))
             return out
 
@@ -426,15 +468,27 @@ class TestStiffFinishStep:
         stock, port = (
             m(fun, 0.0, np.array(y0), t_end, rtol=rtol, atol=atol) for m in (Radau, _Radau)
         )
-        reached = Counter()
-        while stock.status == "running":
-            message = stock.step()
-            solves.clear()
-            nfev, njev = port.nfev, port.njev
-            assert port.step() == message
-            assert port.status == stock.status
+
+        def assert_same_state_and_counts():
             assert_same_bits(np.append(port.y, port.t), np.append(stock.y, stock.t))
             assert (port.nfev, port.njev, port.nlu) == (stock.nfev, stock.njev, stock.nlu)
+
+        reached = Counter()
+        while stock.status == "running":
+            solves.clear()
+            nfev, njev = port.nfev, port.njev
+            try:
+                message = stock.step()
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    port._step_impl()
+                assert_same_state_and_counts()
+                reached["jac_lu_error"] += 1
+                break
+            success = stock.status != "failed"
+            assert port._step_impl() == (success, message)
+            assert_same_state_and_counts()
+            reached["too_small_step"] += message == port.TOO_SMALL_STEP
             # what followed each solve of this step: a new step size after a
             # converged one is an error rejection; after a failed one, the
             # same step size is a retry on a refreshed Jacobian, another a halving
@@ -445,32 +499,29 @@ class TestStiffFinishStep:
             reached.update(kinds)
             # calls beyond the Newton iterations and the accepted step's f_new
             reached["second_error_solve"] += (
-                port.nfev - nfev - 3 * sum(n for *_, n in solves) - (port.status != "failed")
+                port.nfev - nfev - 3 * sum(n for *_, n in solves) - success
             )
             # Jacobians beyond the refreshes are recomputed after the step
             reached["jac_recompute"] += port.njev - njev - kinds["newton_refresh"]
-        assert port.status == ("failed" if case == "nan-field" else "finished")
-        assert {kind for kind, n in reached.items() if n > 0} >= branches, reached
+        hit = {kind for kind, n in reached.items() if n > 0}
+        assert hit >= branches and hit & ENDS == branches & ENDS, reached
 
     def test_one_field_call_per_newton_iteration(self, monkeypatch):
-        # a field with a rows form evaluates the three stages of a Newton
-        # iteration in one call; a plain one is called once per stage, and
-        # both step as stock Radau does
+        # the rows form evaluates the three stages of a Newton iteration in
+        # one call, where stock Radau calls the field once per stage; the
+        # port is stepped by scipy's OdeSolver.step, and steps as stock does
         calls = Counter()
 
         def plain(t, y):
             calls["field"] += 1
             return STIFF_FIELD(t, y)
 
-        def batched(t, y):
-            return plain(t, y)
-
         def rows(Y, out):
             calls["rows"] += 1
             calls["rows of 3"] += Y.shape == (3, 4)
             return STIFF_FIELD.rows(Y, out)
 
-        batched.rows = rows
+        plain.rows = rows
         iterations = []
         collocation = integrate_module._collocation
 
@@ -481,27 +532,22 @@ class TestStiffFinishStep:
 
         monkeypatch.setattr(integrate_module, "_collocation", recorded)
 
-        def run(method, fun):
-            solver = method(fun, 0.0, STIFF_Y0, 0.5, rtol=1e-8, atol=1e-12)
+        def run(method):
+            calls.clear()
+            solver = method(plain, 0.0, STIFF_Y0, 0.5, rtol=1e-8, atol=1e-12)
             while solver.status == "running":
                 solver.step()
             assert solver.status == "finished"
-            return solver
+            return solver, Counter(calls)
 
-        stock = run(Radau, STIFF_FIELD)
-        counts = []  # (calls, Newton iterations) of the plain and the batched field
-        for fun in (plain, batched):
-            calls.clear()
-            iterations.clear()
-            port = run(_Radau, fun)
-            assert_same_bits(np.append(port.y, port.t), np.append(stock.y, stock.t))
-            assert (port.nfev, port.njev, port.nlu) == (stock.nfev, stock.njev, stock.nlu)
-            counts.append((Counter(calls), sum(iterations)))
-        (plain_calls, newton), (batched_calls, newton_batched) = counts
-        assert newton == newton_batched > 100
-        assert batched_calls["rows"] == batched_calls["rows of 3"] == newton
-        assert plain_calls["rows"] == 0
-        assert plain_calls["field"] == batched_calls["field"] + 3 * newton
+        (stock, stock_calls), (port, port_calls) = run(Radau), run(_Radau)
+        assert_same_bits(np.append(port.y, port.t), np.append(stock.y, stock.t))
+        assert (port.nfev, port.njev, port.nlu) == (stock.nfev, stock.njev, stock.nlu)
+        newton = sum(iterations)
+        assert newton > 100
+        assert stock_calls["rows"] == 0
+        assert port_calls["rows"] == port_calls["rows of 3"] == newton
+        assert stock_calls["field"] == port_calls["field"] + 3 * newton
 
     def test_predict_factor_as_scipy(self):
         # scipy's on numpy error norms, as stock Radau passes them; at a zero
@@ -546,21 +592,6 @@ class TestStiffFinishStep:
         for count in ("nfev", "njev", "nlu"):
             assert getattr(port, count) == getattr(stock, count), count
 
-    @pytest.mark.parametrize(
-        "t_bound, options",
-        [
-            (-1.0, {}),
-            (1.0, {"max_step": 0.1}),
-            (1.0, {"jac": -np.eye(2)}),
-            (1.0, {"jac_sparsity": np.eye(2)}),
-            (1.0, {"vectorized": True}),
-        ],
-        ids=["backward", "max_step", "constant-jac", "sparse-jac", "vectorized"],
-    )
-    def test_refuses_what_the_port_does_not_cover(self, t_bound, options):
-        with pytest.raises(ValueError, match="^_Radau needs"):
-            _Radau(lambda t, y: -y, 0.0, np.ones(2), t_bound, **options)
-
 
 def finish_via_solve_ivp(objective, params, config, t0, w0, method):
     """The finish as solve_ivp drove it: `method` from the handoff (t0, w0)
@@ -576,8 +607,9 @@ def finish_via_solve_ivp(objective, params, config, t0, w0, method):
         return math.sqrt(g.dot(g) + v.dot(v)) - config.settle_tol
 
     crossing.terminal, crossing.direction = True, -1.0
+    deviation = with_rows(lambda t, w: field(t, w + y_eq))
     sol = solve_ivp(
-        lambda t, w: field(t, w + y_eq), (t0, config.t_max), w0, method=method,
+        deviation, (t0, config.t_max), w0, method=method,
         rtol=config.rel_tol, atol=config.abs_tol, events=crossing, dense_output=True,
     )
     assert sol.status >= 0, sol.message
