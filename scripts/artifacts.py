@@ -1,25 +1,26 @@
 #!/usr/bin/env python3
 """Write every artifact a bit-identity check compares into one directory.
 
-Usage: PYTHONPATH=src python3 scripts/artifacts.py OUTDIR
+Usage: python3 scripts/artifacts.py OUTDIR
 
 OUTDIR gets what `scripts/reproduce_figures.py` writes (`ftflow repro
 fig1`, `ftflow repro fig2` and `ftflow run --preset conservative`), and
 `ppower-sweep/` the 30 seed-1 members of the benchmark's `ppower-sweep`
 workload: the configs as `perfbench/workloads.py` generates and writes
 them, and each one's `ftflow run --config` artifacts.  Run it on two
-checkouts and compare the outputs with `diff -r`.  Exits with the first
-non-zero CLI exit code, else 0.
+checkouts and compare the outputs with `diff -r`; each run imports ftflow
+from the `src/` of the checkout the script sits in, whatever PYTHONPATH
+says.  Exits with the first non-zero CLI exit code, else 0.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from ftflow.cli import main as cli
-from reproduce_figures import reproduce
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+from ftflow.cli import main as cli  # noqa: E402
+from reproduce_figures import reproduce  # noqa: E402
 from workloads import MEMBERS, write_configs  # noqa: E402
 
 SWEEP_SEED = 1

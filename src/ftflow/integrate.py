@@ -93,7 +93,10 @@ class Trajectory:
     stacked norm ||z||, and (for conservative parameter sets) the energy.
 
     `terminated_reason` says why the run ended:
-    - "settled": ||z|| fell to settle_tol, at `settled_at`;
+    - "settled": ||z|| fell to settle_tol, at `settled_at`.  An explicit
+      settle ends at or below it (the bisection keeps the settled side); a
+      finish settle ends at brentq's root on the Radau step's interpolant,
+      which can sit just above it (1.000000001478961e-09 for 1e-9, fig1-left-a075);
     - "horizon": the run reached t_max;
     - "step_underflow": the step fell below MIN_STEP on finite values, with
       the error control or the singularity guard still unmet;
@@ -159,8 +162,6 @@ def dopri5_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray):
     err = h * np.add.reduce(_E_COL * K[_ERR_ROWS], axis=0, initial=-0.0)
     return y_new, err, K[6]
 
-
-_RADAU_C = _radau.C.tolist()
 
 # LAPACK getrf and getrs by dtype char, for the real (float64) and complex
 # (complex128) Radau systems
@@ -232,6 +233,28 @@ def _collocation(rows, y, h, Z0, scale, tol, LU_real, LU_complex, solve_lu):
             break
         dW_norm_old = dW_norm
     return converged, k + 1, Z, rate
+
+
+def _dense_at(step, t):
+    """A RadauDenseOutput's `step(t)` by its own operations: x = (t - t_old) / h,
+    its powers as cumprod takes them, Q times them, + y_old.  A float t takes
+    the class's gemv; an array of times its gemm, returned as one row per
+    time.  gemm rounds differently from gemv, so scalar times are not batched."""
+    x = (t - step.t_old) / step.h
+    x2 = x * x
+    y = np.dot(step.Q, np.array([x, x2, x2 * x])).T
+    y += step.y_old
+    return y
+
+
+def _arange(start, stop, step):
+    """np.arange(start, stop, step)'s points one at a time, bit for bit: point k
+    is start + k * ((start + step) - start), for k < ceil((stop - start) / step)."""
+    spacing, count = (start + step) - start, (stop - start) / step
+    k = 0
+    while k < count:  # k < ceil(count), without a ceil that can overflow at a huge stop
+        yield start + k * spacing
+        k += 1
 
 
 def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
@@ -322,18 +345,8 @@ class _Radau(Radau):
             h = t_new - t
             h_abs = abs(h)
 
-            sol = self.sol
-            if sol is None:
-                Z0 = np.zeros((3, y.shape[0]))
-            else:
-                # the last step's interpolant at t + h C, as RadauDenseOutput
-                # evaluates it: powers x, x^2, x^3 as cumprod takes them (here
-                # on floats, the same products), gemm by Q
-                x = [(t + h * c - sol.t_old) / sol.h for c in _RADAU_C]
-                x2 = [a * a for a in x]
-                y_pred = np.dot(sol.Q, np.array([x, x2, [a * b for a, b in zip(x2, x)]]))
-                y_pred += sol.y_old[:, None]
-                Z0 = y_pred.T - y
+            sol = self.sol  # the last step's interpolant predicts the stages
+            Z0 = np.zeros((3, y.shape[0])) if sol is None else _dense_at(sol, t + h * _radau.C) - y
 
             while True:
                 if LU_real is None or LU_complex is None:
@@ -478,11 +491,7 @@ def integrate(
             if steps > MAX_STEPS:
                 reason = "step_budget"
                 break
-            if (
-                steps - attempts_mark > 500
-                and z_cur < 1e-2 * z0
-                and z_cur > config.settle_tol
-            ):
+            if steps - attempts_mark > 500 and z_cur < 1e-2 * z0:
                 stalled = True
                 break
             h = min(h, config.record_stride, config.t_max - t)
@@ -514,19 +523,14 @@ def integrate(
                 continue
             if z_new <= config.settle_tol:
                 # refine the crossing time by bisection on dense output
-                f0v, f1v = k1, k_last
                 lo, hi = 0.0, 1.0  # z(lo) > tol >= z(hi)
-                for _ in range(80):
+                for _ in range(40):  # to hi - lo = 2^-40, below 1e-12
                     mid = 0.5 * (lo + hi)
-                    ym = _hermite(y, y_new, f0v, f1v, h, mid)
-                    zm = znorm_of(ym)[0]
-                    if zm <= config.settle_tol:
+                    if znorm_of(_hermite(y, y_new, k1, k_last, h, mid))[0] <= config.settle_tol:
                         hi = mid
                     else:
                         lo = mid
-                    if hi - lo < 1e-12:
-                        break
-                y_set = _hermite(y, y_new, f0v, f1v, h, hi)
+                y_set = _hermite(y, y_new, k1, k_last, h, hi)
                 t_set = t + hi * h
                 record(t_set, y_set, *znorm_of(y_set))
                 settled_at = t_set
@@ -539,9 +543,6 @@ def integrate(
                 attempts_mark = steps
             record(t, y, z_new, g2_new, v2_new)
             h *= factor
-            if t >= config.t_max:
-                reason = "horizon"
-                break
 
         if stalled:
             # Hand the stiff remainder to scipy's Radau IIA (_Radau: its step
@@ -552,22 +553,19 @@ def integrate(
             def field_dev(tt, w):
                 return field(tt, w + y_eq)
 
-            def rows_dev(W, out):
-                return field.rows(W + y_eq, out)
+            field_dev.rows = lambda W, out: field.rows(W + y_eq, out)
 
-            field_dev.rows = rows_dev
-
-            def crossing(tt, w):
+            def crossing(w):
                 return znorm_of(w + y_eq)[0] - config.settle_tol
 
             w = y - y_eq
             solver = _Radau(
                 field_dev, t, w, float(config.t_max), rtol=config.rel_tol, atol=config.abs_tol
             )
-            g = crossing(t, w)
+            g = crossing(w)
             stride = config.record_stride / 4.0
-            grid = np.arange(t + stride, config.t_max, stride)
-            i = 0
+            grid = _arange(t + stride, config.t_max, stride)
+            tt = next(grid, math.inf)  # the next point to record; inf past the last
             settled = False
             while not settled and solver.t < solver.t_bound:
                 try:
@@ -577,27 +575,24 @@ def integrate(
                 if not success:
                     raise IntegrationError(f"implicit finish failed at t={solver.t}: {message}")
                 step, t_end, w = solver.sol, solver.t, solver.y
-                g_new = crossing(t_end, w)
+                g_new = crossing(w)
                 settled = g >= 0 >= g_new  # ||z|| fell to settle_tol within the step
                 if settled:
                     eps4 = 4 * np.finfo(float).eps
                     t_end = brentq(
-                        lambda s: crossing(s, step(s)), step.t_old, t_end, xtol=eps4, rtol=eps4
+                        lambda s: crossing(_dense_at(step, s)), step.t_old, t_end,
+                        xtol=eps4, rtol=eps4,
                     )
-                    w = step(t_end)
+                    w = _dense_at(step, t_end)
                 g = g_new
-                # the grid points the step covers, at its RadauDenseOutput's
-                # scalar values; a point on a step's end is that step's, but
-                # the finish's end is recorded below
+                # the grid points the step covers; a point on a step's end is
+                # that step's, but the finish's end is recorded below
                 last = settled or solver.t >= solver.t_bound
-                i_end = grid.searchsorted(t_end, "left" if last else "right")
-                for tt in grid[i:i_end].tolist():
-                    x = (tt - step.t_old) / step.h
-                    yy = np.dot(step.Q, np.array([x, x * x, x * x * x]))
-                    yy += step.y_old
+                while tt < t_end or tt == t_end and not last:
+                    yy = _dense_at(step, tt)
                     yy += y_eq
                     record(tt, yy, *znorm_of(yy))
-                i = i_end
+                    tt = next(grid, math.inf)
             y_end = w + y_eq
             record(t_end, y_end, *znorm_of(y_end))
             if settled:

@@ -45,7 +45,7 @@ class Objective:
             if theta_star.shape != (self.dim,):
                 raise ObjectiveError("optimum dimension mismatch")
             g = np.asarray(self.gradient(theta_star), dtype=float)
-            if np.linalg.norm(g) > 1e-10:
+            if not np.linalg.norm(g) <= 1e-10:  # NaN fails too
                 raise ObjectiveError(
                     f"gradient at the registered optimum is {g}, not zero"
                 )
@@ -157,8 +157,8 @@ def p_power(p: float = 2.0, dim: int = 2) -> Objective:
     continuous extension (valid for any p > 1).
     """
     p = float(p)
-    if not p > 1.0:
-        raise ObjectiveError(f"p must exceed 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise ObjectiveError(f"p must exceed 1 and be finite, got {p}")
     if not (float(dim).is_integer() and float(dim) >= 1):
         raise ObjectiveError(f"dim must be an integer >= 1, got {dim}")
     dim = int(float(dim))
@@ -194,10 +194,13 @@ def p_power(p: float = 2.0, dim: int = 2) -> Objective:
 
 
 def quadratic(diag=(1.0, 1.0)) -> Objective:
-    """f(theta) = theta^T diag(d) theta / 2 with positive weights d."""
+    """f(theta) = theta^T diag(d) theta / 2 with positive, finite weights d."""
     d = np.atleast_1d(np.asarray(diag, dtype=float))
-    if not np.all(d > 0.0):
-        raise ObjectiveError("quadratic weights must be positive")
+    # before the registration gradient, where an inf weight times 0 is NaN
+    if not np.all((d > 0.0) & (d < np.inf)):
+        raise ObjectiveError(
+            f"quadratic diag weights must be positive and finite, got {d.tolist()}"
+        )
     dim = d.shape[0]
 
     def value(t):

@@ -241,6 +241,24 @@ class TestRun:
         assert code == 2
         assert "kappa must be positive and finite" in capsys.readouterr().err
 
+    def test_infinite_ppower_order_is_config_error(self, tmp_path, capsys):
+        args = ["run", "--objective", "ppower", "--p", "inf", "--theta0", "1", "0"]
+        assert invoke([*args, "--output-dir", str(tmp_path)]) == 2
+        assert "error: p must exceed 1 and be finite, got inf" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_infinite_quadratic_weight_is_config_error(self, tmp_path, capsys):
+        # JSON reads 1e400 as inf; refused without a numpy warning
+        d = preset("fig2-p2").to_dict()
+        d["objective"] = {"name": "quadratic", "params": {"diag": "DIAG"}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d).replace('"DIAG"', "[1e400, 1.0]"))
+        out = tmp_path / "out"
+        assert invoke(["run", "--config", str(cfg_path), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: quadratic diag weights must be positive and finite, got [inf, 1.0]\n"
+        assert not out.exists()
+
     def test_infinite_settle_tol_is_config_error(self, tmp_path, capsys):
         args = ["run", "--preset", "fig2-p2", "--settle-tol", "inf"]
         assert invoke([*args, "--output-dir", str(tmp_path)]) == 2

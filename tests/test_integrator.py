@@ -15,6 +15,8 @@ from ftflow.flow import FlowParams, FlowState, conservative_params, flow_field
 from ftflow.integrate import (
     IntegrationError,
     IntegratorConfig,
+    _arange,
+    _dense_at,
     _Radau,
     dopri5_step,
     integrate,
@@ -264,8 +266,9 @@ class TestIntegrateFlow:
         objective = p_power(2.0)
 
         def gradient(theta, base=objective.gradient):
+            # NaN near the optimum; zero at it, where registration checks it
             g = base(theta)
-            return g if theta.dot(theta) > 0.25 else np.full_like(g, np.nan)
+            return g if theta.dot(theta) > 0.25 or not theta.any() else np.full_like(g, np.nan)
 
         state = FlowState(theta=np.array([1.0, 0.0]), v=np.zeros(2))
         params = FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0)
@@ -593,6 +596,31 @@ class TestStiffFinishStep:
             assert getattr(port, count) == getattr(stock, count), count
 
 
+class TestStiffFinishInterpolant:
+    """_dense_at, the one evaluation of a Radau step's interpolant."""
+
+    def test_as_radau_dense_output(self):
+        # each step's RadauDenseOutput, at floats inside the step (the grid
+        # points and brentq's crossing) and at the next step's three
+        # collocation nodes (the Newton predictor)
+        rng = np.random.default_rng(11)
+        port = _Radau(STIFF_FIELD, 0.0, STIFF_Y0, 0.5, rtol=1e-8, atol=1e-12)
+        steps = 0
+        while port.t < port.t_bound:
+            assert port._step_impl() == (True, None)
+            sol, steps = port.sol, steps + 1
+            for s in [sol.t_old, sol.t, *rng.uniform(sol.t_old, sol.t, 5).tolist()]:
+                got = _dense_at(sol, s)
+                assert got.shape == (4,)
+                assert_same_bits(got, sol(s))
+            h = rng.uniform(0.1, 2.0) * sol.h
+            nodes = sol.t + h * _radau.C
+            got = _dense_at(sol, nodes)
+            assert got.shape == (3, 4)
+            assert_same_bits(got, sol(nodes).T.copy())
+        assert steps > 20
+
+
 def finish_via_solve_ivp(objective, params, config, t0, w0, method):
     """The finish as solve_ivp drove it: `method` from the handoff (t0, w0)
     in deviation coordinates, with a terminal event at ||z|| = settle_tol,
@@ -690,6 +718,36 @@ class TestStiffFinishDriver:
         sol, times = self.check("fig1-right-interior", config, OnGrid, monkeypatch)
         assert np.isin(sol.t[1:-1], times).sum() > 10
 
+    def test_grid_walk_is_numpy_arange(self):
+        rng = np.random.default_rng(7)
+        draws = [(0.0, 0.005, 0.0), (0.0, 0.005, 0.005), (0.0, 0.005, 0.02), (3.52, 0.005, 3.0)]
+        for _ in range(5_000):
+            t = 10.0 ** rng.uniform(-12.0, 3.0) if rng.random() < 0.9 else 0.0
+            stride = 10.0 ** rng.uniform(-4.0, 0.0)
+            draws.append((t, stride, t + rng.uniform(-20.0, 200.0) * stride))
+        empty = 0
+        for t, stride, t_max in draws:
+            expected = np.arange(t + stride, t_max, stride)
+            got = np.array(list(_arange(t + stride, t_max, stride)), dtype=float)
+            assert got.shape == expected.shape, (t, stride, t_max)
+            assert_same_bits(got, expected)
+            empty += expected.size == 0
+        assert empty > 100
+
+    def test_huge_horizon_records_as_a_finite_one(self):
+        # the grid is walked, not built: a t_max of 1e300 records what 50 does
+        # (np.arange would need 4e302 points)
+        cfg = preset("fig1-right-interior")
+        assert next(_arange(1.0, 1e300, 0.005)) == 1.0
+        finite, huge = (
+            integrate(cfg.initial_state(), cfg.flow, cfg.objective(),
+                      replace(cfg.integrator, t_max=t_max))
+            for t_max in (50.0, 1e300)
+        )
+        assert (huge.terminated_reason, huge.settled_at) == ("settled", finite.settled_at)
+        for channel in ("times", "states", "f", "V", "Vdot", "z_norm"):
+            assert_same_bits(getattr(huge, channel), getattr(finite, channel))
+
     def test_gradient_turning_nan_in_finish_raises(self):
         # a NaN gradient near the minimum makes the finite-difference
         # Jacobian NaN, and its LU refuses it
@@ -697,8 +755,9 @@ class TestStiffFinishDriver:
         objective = cfg.objective()
 
         def gradient(theta, base=objective.gradient):
+            # NaN near the minimum; zero at it, where registration checks it
             g = base(theta)
-            return g if np.linalg.norm(theta - 1.0) > 1e-4 else np.full_like(g, np.nan)
+            return np.full_like(g, np.nan) if 0.0 < np.linalg.norm(theta - 1.0) <= 1e-4 else g
 
         with pytest.raises(
             IntegrationError,

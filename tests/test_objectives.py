@@ -66,10 +66,9 @@ class TestBuiltins:
         assert obj.f_star == 0.0
 
     def test_p_power_rejects_bad_order(self):
-        with pytest.raises(ObjectiveError):
-            p_power(1.0)
-        with pytest.raises(ObjectiveError):
-            p_power(float("nan"))
+        for p in (1.0, 0.5, float("nan"), float("inf")):
+            with pytest.raises(ObjectiveError, match=r"^p must exceed 1 and be finite, got "):
+                p_power(p)
 
     @pytest.mark.parametrize("dim", [2.5, 0, float("nan"), float("inf")])
     def test_p_power_rejects_bad_dim(self, dim):
@@ -93,6 +92,9 @@ class TestBuiltins:
             quadratic([1.0, -1.0])
         with pytest.raises(ObjectiveError):
             quadratic([1.0, float("nan")])
+        # refused before the registration gradient, whose inf * 0 would warn
+        with pytest.raises(ObjectiveError, match=r"^quadratic diag weights must be positive and"):
+            quadratic([float("inf"), 1.0])
 
     def test_make_objective(self):
         assert make_objective("rosenbrock", {}).name == "rosenbrock"
@@ -194,14 +196,15 @@ class TestObjectiveValidation:
     def test_optimum_must_be_stationary(self):
         from ftflow.objectives import Objective
 
-        with pytest.raises(ObjectiveError):
-            Objective(
-                dim=1,
-                value=lambda x: float(x[0]),
-                gradient=lambda x: np.ones(1),
-                optimum=(np.zeros(1), 0.0),
-                name="linear",
-            )
+        for gradient in (np.ones(1), np.array([np.nan])):
+            with pytest.raises(ObjectiveError, match="gradient at the registered optimum is"):
+                Objective(
+                    dim=1,
+                    value=lambda x: float(x[0]),
+                    gradient=lambda x, g=gradient: g,
+                    optimum=(np.zeros(1), 0.0),
+                    name="linear",
+                )
 
     def test_missing_optimum_raises_on_access(self):
         from ftflow.objectives import Objective
