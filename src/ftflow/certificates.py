@@ -340,13 +340,15 @@ def verify_power_bound(a: float, delta: float, grid: int = 200) -> tuple[float, 
 
     Uses the constant C = 2^(a-1) max{1, delta^(a-1)} and returns the
     worst signed slack over a (grid+1)^2 lattice (positive = violation).
+    An argument out of range raises CertificateError, whose message starts
+    with the argument's name.
     """
     if not 1.0 <= a < np.inf:
         raise CertificateError(f"a must be >= 1 and finite, got {a}")
     if not 0.0 < delta < np.inf:
         raise CertificateError(f"delta must be positive and finite, got {delta}")
     if grid < 10:
-        raise CertificateError("grid must be >= 10")
+        raise CertificateError(f"grid must be >= 10, got {grid}")
     C = 2.0 ** (a - 1.0) * max(1.0, delta ** (a - 1.0))
     xs = np.linspace(0.0, delta, grid + 1)
     X, Y = np.meshgrid(xs, xs)

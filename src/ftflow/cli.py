@@ -273,7 +273,11 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_verify_lemma1(args) -> int:
-    C, worst = verify_power_bound(args.a, args.delta, args.grid)
+    try:
+        C, worst = verify_power_bound(args.a, args.delta, args.grid)
+    except CertificateError as exc:
+        # an argument out of range, named as its flag is: a configuration error
+        raise ExperimentError(f"--{exc}") from exc
     ok = worst <= 0.0
     print(
         f"verify-lemma1: a={args.a}, delta={args.delta}, C={C:.6g}, "

@@ -64,6 +64,13 @@ class FlowParams:
             raise FlowError(
                 f"alpha must lie in [-1, 0] (0 = unscaled baseline), got {self.alpha}"
             )
+        # V and dV/dt weigh ||v||^2 by beta/(2 gamma kappa) and beta(1-gamma)/gamma
+        d = 2.0 * self.gamma * self.kappa
+        if not (d > 0.0 and self.beta / d < np.inf and self.beta / self.gamma < np.inf):
+            raise FlowError(
+                f"gamma = {self.gamma} with kappa = {self.kappa} is too small: the weight "
+                "of ||v||^2 in V or dV/dt overflows"
+            )
         if self.beta == 1.0 and self.gamma == 1.0 and not self.non_dissipative:
             raise FlowError(
                 "beta = gamma = 1 is conservative; build it explicitly via "
@@ -148,6 +155,12 @@ def flow_field(
     into the same row of `out`, bit for bit as `field` row by row (the
     field does not depend on t): one gradient call and the same ||z|| per
     row, then the formula once over all rows.
+
+    `field.floats(y)` evaluates it at a sequence of 2n Python floats and
+    returns a list of them, bit for bit as `field`: the gradient is called
+    on an array and ||z||^2 taken from the same BLAS dots (OpenBLAS fuses
+    them into multiply-adds, which float products would not match); only
+    the formula runs on floats, the same operations in numpy's order.
     """
     alpha, beta, gamma, kappa = params.alpha, params.beta, params.gamma, params.kappa
     # both halves as one 2n-wide formula over [g, g] and [v, v]; it is
@@ -202,7 +215,24 @@ def flow_field(
             out[i] = value
         return out
 
+    c_g, c_v = -(1.0 - beta), 1.0 - gamma  # coef_g of theta', coef_v of v'
+
+    def floats(y):
+        ya = np.array(y)
+        g = gradient(ya[:n])
+        v = ya[n:]
+        znorm = math.sqrt(g.dot(g) + v.dot(v))
+        if not SINGULAR_TOL < znorm < math.inf:
+            return [0.0 if znorm <= SINGULAR_TOL else math.inf] * (2 * n)
+        s = znorm**alpha  # times scale's 1.0, bit for bit
+        s_v = s * scale_v
+        pairs = list(zip(g.tolist(), y[n:]))
+        return [(c_g * a + beta * b) * s for a, b in pairs] + [
+            (gamma * a + c_v * b) * s_v for a, b in pairs
+        ]
+
     field.rows = rows
+    field.floats = floats
     return field
 
 

@@ -9,6 +9,15 @@ dense output inside the last accepted step, after which the state is
 frozen.  When the explicit pair stalls in the stiff terminal phase, the
 rest of the run is stepped with Radau IIA (`_Radau`), whose settling time
 is a root of ||z|| - settle_tol on the interpolant of the step it falls in.
+
+The explicit loop steps a state of fewer than FLOAT_STATE_BELOW = 8
+components (n <= 3, as in all of the paper's experiments) on Python floats
+(`_dopri5_floats` with the field's float form), bit for bit as the numpy
+`dopri5_step` that steps a larger state: at these sizes a numpy step's time
+is per-call overhead, not arithmetic, and numpy sums fewer than 8 terms
+left to right, as the float error norm does (at 8 and more it sums them
+in another order).  The settling bisection and the implicit finish take
+the state as an array.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ _Y5_ROWS, _ERR_ROWS = np.array([0, 2, 3, 4, 5]), np.array([0, 2, 3, 4, 5, 6])
 _B5_COL = _B5[_Y5_ROWS, None]
 _E_COL = (_B5 - _B4)[_ERR_ROWS, None]
 
+FLOAT_STATE_BELOW = 8  # 2n below which the explicit loop steps on floats (module doc)
 INITIAL_STEP = 1e-4
 MIN_STEP = 1e-14
 MAX_STEPS = 5_000_000  # explicit step attempts before a run ends as "step_budget"
@@ -136,7 +146,7 @@ class Trajectory:
         return self.times.shape[0]
 
 
-def _error_norm(err: np.ndarray, dev0: float, y1: np.ndarray, cfg, y_eq) -> tuple[float, float]:
+def _error_norm(err, dev0: float, y1: np.ndarray, cfg, y_eq) -> tuple[float, float]:
     # Measuring error relative to the deviation from the equilibrium (the
     # origin when none is registered) lets the step control resolve the
     # approach to settling; a plain |y| scale would put a rel_tol * |theta*|
@@ -144,10 +154,50 @@ def _error_norm(err: np.ndarray, dev0: float, y1: np.ndarray, cfg, y_eq) -> tupl
     # so that components momentarily crossing the equilibrium are not
     # over-resolved.  dev0 = ||y0 - y_eq||^2 holds until a step is accepted,
     # so the caller passes the returned ||y1 - y_eq||^2 back as the next dev0.
+    # err is an array or, from the float step, a list of Python floats.
     d1 = y1 - y_eq
     dev1 = d1.dot(d1)
-    q = err / (cfg.abs_tol + cfg.rel_tol * math.sqrt(max(dev0, dev1)))
+    scale = cfg.abs_tol + cfg.rel_tol * math.sqrt(max(dev0, dev1))
+    if isinstance(err, list):
+        # numpy sums fewer than 8 terms left to right, as this loop does
+        total = 0.0
+        for e in err:
+            q = e / scale
+            total += q * q
+        return math.sqrt(total / len(err)), dev1
+    q = err / scale
     return math.sqrt((q * q).sum() / q.size), dev1
+
+
+def _dopri5_floats(f: Callable, y: list, h: float, k1: list):
+    """dopri5_step on lists of Python floats, bit for bit: the tableau written
+    out stage by stage, each sum in the same order, k2 left out of y_new and
+    the error; f(y) is the field's float form."""
+    k2 = f([x + h * (0.2 * a) for x, a in zip(y, k1)])
+    k3 = f([x + h * (0.075 * a + 0.225 * b) for x, a, b in zip(y, k1, k2)])
+    k4 = f([x + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c) for x, a, b, c in zip(y, k1, k2, k3)])
+    k5 = f([
+        x + h * (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c - 212 / 729 * d)
+        for x, a, b, c, d in zip(y, k1, k2, k3, k4)
+    ])
+    k6 = f([
+        x + h * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c + 49 / 176 * d
+                 - 5103 / 18656 * e)
+        for x, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+    ])
+    y_new = [
+        x + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d - 2187 / 6784 * e + 11 / 84 * g)
+        for x, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
+    ]
+    k7 = f(y_new)
+    # the weights of _E_COL, as numpy subtracts _B4 from _B5
+    err = [
+        h * ((35 / 384 - 5179 / 57600) * a + (500 / 1113 - 7571 / 16695) * c
+             + (125 / 192 - 393 / 640) * d + (92097 / 339200 - 2187 / 6784) * e
+             + (11 / 84 - 187 / 2100) * g - 1 / 40 * k)
+        for a, c, d, e, g, k in zip(k1, k3, k4, k5, k6, k7)
+    ]
+    return y_new, err, k7
 
 
 def dopri5_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray):
@@ -469,8 +519,14 @@ def integrate(
         reason = "settled"
     else:
         h = INITIAL_STEP
-        k1 = field(t, y)  # an inf k1 (overflowing ||z||) fails every step: non_finite
         z_cur, dev = z0, (y - y_eq).dot(y - y_eq)
+        # ya is the state as an array; y is it as the step takes it, a list
+        # of Python floats for a small state, else the array itself
+        floats = 2 * n < FLOAT_STATE_BELOW
+        as_array = np.array if floats else np.asarray
+        ya, y = y, y.tolist() if floats else y
+        # an inf k1 (overflowing ||z||) fails every step: non_finite
+        k1 = field.floats(y) if floats else field(t, y)
 
         # Stagnation watch.  Two failure modes park the explicit pair above
         # settle_tol with no further progress: (i) near a smooth minimum the
@@ -497,15 +553,19 @@ def integrate(
             h = min(h, config.record_stride, config.t_max - t)
             if h < MIN_STEP:
                 h = min(MIN_STEP, config.t_max - t)
-            y_new, err, k_last = dopri5_step(field, t, y, h, k1)
-            en, dev_new = _error_norm(err, dev, y_new, config, y_eq)
+            if floats:
+                y_new, err, k_last = _dopri5_floats(field.floats, y, h, k1)
+            else:
+                y_new, err, k_last = dopri5_step(field, t, y, h, k1)
+            ya_new = as_array(y_new)
+            en, dev_new = _error_norm(err, dev, ya_new, config, y_eq)
             # grows an accepted step and shrinks one the error control
             # rejects (en > 1 keeps it below 0.9); NaN or inf en gives 0.2
             factor = min(5.0, max(0.2, 0.9 * (en + 1e-16) ** -0.2))
             accept = en <= 1.0
             z_new = None
             if accept:
-                z_new, g2_new, v2_new = znorm_of(y_new)
+                z_new, g2_new, v2_new = znorm_of(ya_new)
                 # singularity guard: keep per-step relative change of ||z|| small
                 if z_cur < 1e-3 and z_new > config.settle_tol:
                     change = abs(z_new - z_cur)
@@ -523,25 +583,26 @@ def integrate(
                 continue
             if z_new <= config.settle_tol:
                 # refine the crossing time by bisection on dense output
+                ends = ya, ya_new, as_array(k1), as_array(k_last), h
                 lo, hi = 0.0, 1.0  # z(lo) > tol >= z(hi)
                 for _ in range(40):  # to hi - lo = 2^-40, below 1e-12
                     mid = 0.5 * (lo + hi)
-                    if znorm_of(_hermite(y, y_new, k1, k_last, h, mid))[0] <= config.settle_tol:
+                    if znorm_of(_hermite(*ends, mid))[0] <= config.settle_tol:
                         hi = mid
                     else:
                         lo = mid
-                y_set = _hermite(y, y_new, k1, k_last, h, hi)
+                y_set = _hermite(*ends, hi)
                 t_set = t + hi * h
                 record(t_set, y_set, *znorm_of(y_set))
                 settled_at = t_set
                 reason = "settled"
                 break
-            t, y, k1, dev = t + h, y_new, k_last, dev_new
+            t, y, ya, k1, dev = t + h, y_new, ya_new, k_last, dev_new
             z_cur = z_new
             if z_new < 0.7 * z_mark:
                 z_mark = z_new
                 attempts_mark = steps
-            record(t, y, z_new, g2_new, v2_new)
+            record(t, ya, z_new, g2_new, v2_new)
             h *= factor
 
         if stalled:
@@ -558,7 +619,7 @@ def integrate(
             def crossing(w):
                 return znorm_of(w + y_eq)[0] - config.settle_tol
 
-            w = y - y_eq
+            w = ya - y_eq
             solver = _Radau(
                 field_dev, t, w, float(config.t_max), rtol=config.rel_tol, atol=config.abs_tol
             )

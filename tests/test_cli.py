@@ -433,10 +433,16 @@ class TestGradcheckAndLemma:
         assert code == 0
         assert "no violation" in out
 
-    def test_verify_lemma1_bad_input_is_runtime_error(self, capsys):
-        code = invoke(["verify-lemma1", "--a", "0.5", "--delta", "1"])
-        capsys.readouterr()
-        assert code == 3
+    def test_verify_lemma1_bad_input_is_config_error(self, capsys):
+        for flags, message in [
+            (["--a", "0.5"], "--a must be >= 1 and finite, got 0.5"),
+            (["--delta", "nan"], "--delta must be positive and finite, got nan"),
+            (["--grid", "0"], "--grid must be >= 10, got 0"),
+        ]:
+            argv = ["verify-lemma1", "--a", "2", "--delta", "1", *flags]
+            assert invoke(argv) == 2, flags
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n" and not captured.out
 
 
 class TestRepro:

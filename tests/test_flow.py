@@ -34,6 +34,10 @@ class TestFlowParams:
             dict(alpha=-0.5, beta=0.5, gamma=0.5, kappa=0.0),
             dict(alpha=-0.5, beta=0.5, gamma=0.5, kappa=-1.0),
             dict(alpha=-0.5, beta=0.5, gamma=0.5, kappa=float("inf")),
+            # the weights of ||v||^2 in V and dV/dt overflow
+            dict(alpha=0.0, beta=1.0, gamma=5e-324, kappa=0.25),  # 2 gamma kappa is 0
+            dict(alpha=0.0, beta=1.0, gamma=1e-300, kappa=1e-10),
+            dict(alpha=0.0, beta=1.0, gamma=1e-309, kappa=1e300),
         ],
     )
     def test_invalid_parameters(self, kwargs):
@@ -187,6 +191,56 @@ class TestVectorField:
                     assert calls[0] == len(rows)
                     assert same_bits(out, expected[start : start + m])
         assert np.isinf(expected).any() and (expected == 0.0).all(axis=1).any()
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            FlowParams(alpha=-0.5, beta=0.3, gamma=0.6, kappa=2.0),
+            FlowParams(alpha=-1.0, beta=1.0, gamma=0.4, kappa=0.7),  # heavy ball
+            FlowParams(alpha=0.0, beta=0.6, gamma=1.0, kappa=1.3),  # PI
+            conservative_params(alpha=-0.25, kappa=3.0),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "objective",
+        [rosenbrock(), p_power(1.5), p_power(2.5, dim=1), quadratic([0.5, 2.0, 4.0])],
+        ids=["rosenbrock", "ppower", "ppower-n1", "quadratic-n3"],
+    )
+    def test_floats_match_the_field(self, params, objective):
+        calls = [0]
+
+        def gradient(theta):
+            calls[0] += 1
+            return objective.gradient(theta)
+
+        n = objective.dim
+        field = flow_field(params, gradient, n)
+        star, zeros = objective.theta_star, np.zeros(n)
+        unit = np.eye(n)[0]
+        special = [
+            np.concatenate([star, zeros]),  # ||z|| = 0
+            np.concatenate([star + 3e-14 * unit, -4e-14 * unit]),  # in the zero ball (p-power)
+            np.concatenate([star + 1e200 * unit, np.ones(n)]),  # ||z|| overflows
+            np.full(2 * n, 1e160),
+            np.concatenate([-0.0 * unit, zeros]),  # signed zeros
+            np.concatenate([0.5 * unit, -0.0 * unit]),
+            np.concatenate([np.full(n, -0.0), star]),
+            np.concatenate([np.full(n, np.nan), np.ones(n)]),  # NaN gradient
+        ]
+        rng = np.random.default_rng(9)
+        scales = rng.choice([1e-7, 1.0, 30.0], (40, 1))
+        Y = np.concatenate([special[0] + rng.normal(size=(40, 2 * n)) * scales, special])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for y in Y:
+                expected = field(0.0, y)
+                calls[0] = 0
+                got = field.floats(y.tolist())
+                assert calls[0] == 1
+                assert all(type(x) is float for x in got)
+                assert same_bits(np.array(got), expected), y
+            guarded = [field(0.0, y) for y in special]
+        assert any(np.isinf(out).all() for out in guarded)
+        assert any((out == 0.0).all() for out in guarded)
 
     def test_exact_zero_at_equilibrium(self):
         objective = rosenbrock()

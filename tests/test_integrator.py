@@ -3,15 +3,18 @@ import math
 import re
 from collections import Counter
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import Radau, solve_ivp
 from scipy.integrate._ivp import radau as _radau
 from scipy.linalg import LinAlgWarning
 
 from ftflow.experiments import preset
-from ftflow.flow import FlowParams, FlowState, conservative_params, flow_field
+from ftflow.flow import FlowError, FlowParams, FlowState, conservative_params, flow_field
 from ftflow.integrate import (
     IntegrationError,
     IntegratorConfig,
@@ -184,8 +187,21 @@ def stepper_field(kind, n, rng):
     return writing_into_out(f), restart
 
 
+def float_step(f, t, y, h, k1):
+    """_dopri5_floats called as dopri5_step: on the floats of y and k1, with
+    f's float form, its results returned as arrays."""
+    out = integrate_module._dopri5_floats(
+        lambda s: f(t, np.array(s)).tolist(), y.tolist(), h, k1.tolist()
+    )
+    assert all(type(x) is float for part in out for x in part)
+    return tuple(np.array(part) for part in out)
+
+
 class TestStackedStages:
-    @pytest.mark.parametrize("n", [1, 2, 50])
+    """dopri5_step, and the float step of states with fewer than
+    FLOAT_STATE_BELOW components, against the tableau written out."""
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 3])
     @pytest.mark.parametrize("kind", ["linear", "inf-at-k2", "inf-at-k4", "signed-zero"])
     def test_matches_unrolled_tableau_bit_for_bit(self, n, kind):
         rng = np.random.default_rng(n)
@@ -194,17 +210,38 @@ class TestStackedStages:
         if kind == "signed-zero":
             y[0] = -0.0
         k1 = rng.standard_normal(2 * n) if kind.startswith("inf") else f(0.0, y)
-        for h in (1e-3, 0.07, 0.5):
-            with np.errstate(all="ignore"):
-                restart()
-                expected = unrolled_dopri5_step(f, 0.3, y, h, k1)
-                restart()
-                got = dopri5_step(f, 0.3, y, h, k1)
-            for a, b in zip(got, expected):
-                assert_same_bits(a, b)
-        if kind == "inf-at-k2":
-            # k2 has weight 0 in y_new and the error; a 0 * inf there is NaN
-            assert np.all(np.isfinite(got[0])) and np.all(np.isfinite(got[1]))
+        steps = [dopri5_step] + [float_step] * (2 * n < integrate_module.FLOAT_STATE_BELOW)
+        for step in steps:
+            for h in (1e-3, 0.07, 0.5):
+                with np.errstate(all="ignore"):
+                    restart()
+                    expected = unrolled_dopri5_step(f, 0.3, y, h, k1)
+                    restart()
+                    got = step(f, 0.3, y, h, k1)
+                for a, b in zip(got, expected):
+                    assert_same_bits(a, b)
+            if kind == "inf-at-k2":
+                # k2 has weight 0 in y_new and the error; a 0 * inf there is NaN
+                assert np.all(np.isfinite(got[0])) and np.all(np.isfinite(got[1]))
+
+    def test_error_norm_sums_as_numpy(self):
+        # error entries of mixed magnitude, where the order of a sum shows
+        error_norm, below = integrate_module._error_norm, integrate_module.FLOAT_STATE_BELOW
+        rng = np.random.default_rng(13)
+        for m in range(1, below):
+            for _ in range(2_000):
+                err = rng.standard_normal(m) * 10.0 ** rng.uniform(-8.0, 8.0, m)
+                if rng.random() < 0.01:
+                    err[rng.integers(m)] = rng.choice([np.inf, -np.inf, np.nan])
+                y1, y_eq = rng.standard_normal((2, m))
+                dev0 = float(rng.exponential())
+                expected = error_norm(err, dev0, y1, PP_CFG, y_eq)
+                got = error_norm(err.tolist(), dev0, y1, PP_CFG, y_eq)
+                assert_same_bits(np.array(got), np.array(expected))
+        # numpy sums fewer than `below` terms left to right, as the float error
+        # norm does, but not `below` terms
+        q = rng.standard_normal((2_000, below)) * 10.0 ** rng.uniform(-8.0, 8.0, (2_000, below))
+        assert sum(row.sum() != sum(row.tolist()) for row in q * q) > 100
 
 
 class TestIntegrateFlow:
@@ -216,11 +253,14 @@ class TestIntegrateFlow:
         np.testing.assert_allclose(traj.z_norm, expected, rtol=1e-6)
 
     def test_settles_with_bisection_refinement(self):
-        traj = ppower_traj(-0.8)
-        assert traj.terminated_reason == "settled"
-        assert traj.settled_at == pytest.approx(2.5, abs=1e-5)
-        assert traj.times[-1] == traj.settled_at
-        assert traj.z_norm[-1] <= PP_CFG.settle_tol
+        # p = 2, beta = gamma = 1/2, kappa = 1: d||z||/dt = -||z||^(1+alpha) / 2
+        # from ||z0|| = 1, so alpha = -1 settles at T = 2 (1 - settle_tol)
+        for alpha, settled_at in [(-0.8, 2.5), (-1.0, 2.0 * (1.0 - 1e-9))]:
+            traj = ppower_traj(alpha)
+            assert traj.terminated_reason == "settled"
+            assert traj.settled_at == pytest.approx(settled_at, abs=1e-5)
+            assert traj.times[-1] == traj.settled_at
+            assert traj.z_norm[-1] <= PP_CFG.settle_tol
 
     def test_stiff_finish_on_smooth_minimum(self):
         # the Rosenbrock minimum is stiff for the explicit pair; the run
@@ -348,6 +388,174 @@ class TestIntegrateFlow:
         s = traj.state_at(0)
         np.testing.assert_allclose(s.theta, [1.0, 0.0])
         np.testing.assert_allclose(s.v, [0.0, 0.0])
+
+
+def float_and_numpy_runs(state, params, objective, config=IntegratorConfig(), max_steps=None):
+    """integrate on the float step (the default below FLOAT_STATE_BELOW
+    components) and with the numpy step forced, each as (outcome, counts):
+    the Trajectory, or the IntegrationError's message, and the gradient calls
+    and float steps it took."""
+    counts = Counter()
+
+    def gradient(theta, base=objective.gradient):
+        counts["gradient"] += 1
+        return base(theta)
+
+    def float_step(*args, step=integrate_module._dopri5_floats):
+        counts["float steps"] += 1
+        return step(*args)
+
+    counting = replace(objective, gradient=gradient)
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrate_module, "_dopri5_floats", float_step)
+        if max_steps is not None:
+            mp.setattr(integrate_module, "MAX_STEPS", max_steps)
+        for below in (integrate_module.FLOAT_STATE_BELOW, 0):
+            mp.setattr(integrate_module, "FLOAT_STATE_BELOW", below)
+            counts.clear()
+            try:
+                outcome = integrate(state, params, counting, config)
+            except IntegrationError as exc:
+                outcome = str(exc)
+            runs.append((outcome, Counter(counts)))
+    return runs
+
+
+def assert_same_runs(runs):
+    (floats, float_counts), (arrays, array_counts) = runs
+    assert float_counts["float steps"] > 0 and array_counts["float steps"] == 0
+    assert float_counts["gradient"] == array_counts["gradient"]
+    if isinstance(floats, str):
+        assert floats == arrays
+        return
+    for channel in ("times", "states", "f", "V", "Vdot", "z_norm"):
+        assert_same_bits(getattr(floats, channel), getattr(arrays, channel))
+    assert (floats.energy is None) == (arrays.energy is None)
+    if floats.energy is not None:
+        assert_same_bits(floats.energy, arrays.energy)
+    assert (floats.settled_at, floats.terminated_reason) == (
+        arrays.settled_at, arrays.terminated_reason
+    )
+
+
+def dissipative(alpha):
+    return FlowParams(alpha=alpha, beta=0.5, gamma=0.5, kappa=1.0)
+
+
+class TestFloatPath:
+    """Whole runs on the float step against the numpy step, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "objective, theta0",
+        [
+            (p_power(1.7, dim=1), [1.3]),
+            (p_power(2.0), [1.0, 0.0]),
+            (p_power(2.5, dim=3), [1.0, -0.5, 0.25]),
+        ],
+        ids=["n1", "n2", "n3"],
+    )
+    def test_explicit_settle(self, objective, theta0):
+        state = FlowState(theta=np.array(theta0), v=np.zeros(len(theta0)))
+        runs = float_and_numpy_runs(state, dissipative(-0.8), objective, PP_CFG)
+        assert_same_runs(runs)
+        assert runs[0][0].terminated_reason == "settled"
+
+    def test_horizon(self):
+        state = FlowState(theta=np.array([1.0, 0.0]), v=np.zeros(2))
+        runs = float_and_numpy_runs(
+            state, dissipative(0.0), p_power(2.0), replace(PP_CFG, t_max=10.0)
+        )
+        assert_same_runs(runs)
+        assert runs[0][0].terminated_reason == "horizon"
+        # the conservative flow, with its energy channel
+        runs = float_and_numpy_runs(
+            state, conservative_params(alpha=-0.5, kappa=1.0), quadratic([1.0, 3.0]),
+            IntegratorConfig(t_max=2.0),
+        )
+        assert_same_runs(runs)
+        assert runs[0][0].energy is not None
+
+    def test_radau_handoff(self):
+        cfg = preset("fig1-right-interior")
+        runs = float_and_numpy_runs(
+            cfg.initial_state(), cfg.flow, cfg.objective(), cfg.integrator
+        )
+        assert_same_runs(runs)
+        (traj, counts), _ = runs
+        # settled in the finish: brentq's root, not a bisection's end
+        assert traj.terminated_reason == "settled" and counts["gradient"] == 15_051
+
+    def test_nan_gradient_mid_run(self):
+        objective = p_power(2.0)
+
+        def gradient(theta, base=objective.gradient):
+            g = base(theta)
+            return g if theta.dot(theta) > 0.25 or not theta.any() else np.full_like(g, np.nan)
+
+        state = FlowState(theta=np.array([1.0, 0.0]), v=np.zeros(2))
+        runs = float_and_numpy_runs(
+            state, dissipative(-0.5), replace(objective, gradient=gradient)
+        )
+        assert_same_runs(runs)
+        assert runs[0][0].terminated_reason == "non_finite"
+
+    @pytest.mark.parametrize("theta0", [[1e200, 0.0], [1e160, 1e160]])
+    def test_overflowing_start(self, theta0):
+        state = FlowState(theta=np.array(theta0), v=np.zeros(2))
+        runs = float_and_numpy_runs(state, dissipative(-0.5), p_power(2.0))
+        assert_same_runs(runs)
+        assert runs[0][0].terminated_reason == "non_finite"
+
+    def test_step_budget(self):
+        state = FlowState(theta=np.array([1.0, 0.0]), v=np.zeros(2))
+        runs = float_and_numpy_runs(state, dissipative(-0.8), p_power(2.0), PP_CFG, max_steps=40)
+        assert_same_runs(runs)
+        assert runs[0][0].terminated_reason == "step_budget" and len(runs[0][0]) == 41
+
+    @given(
+        alpha=st.floats(min_value=-1.0, max_value=0.0),
+        beta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        gamma=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        kappa=st.floats(min_value=0.1, max_value=10.0),
+        objective=st.one_of(
+            st.just(rosenbrock()),
+            st.builds(
+                p_power,
+                st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
+                st.integers(min_value=1, max_value=3),
+            ),
+            st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=3).map(
+                quadratic
+            ),
+        ),
+        direction=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),
+        radius=st.floats(min_value=0.0, max_value=2.0),
+    )
+    @settings(max_examples=40, deadline=timedelta(seconds=60))
+    def test_same_runs_over_the_search_space(
+        self, alpha, beta, gamma, kappa, objective, direction, radius
+    ):
+        # the parameter box, theta0 from the ball of radius 2 about the optimum
+        try:
+            params = FlowParams(alpha, beta, gamma, kappa, non_dissipative=beta == gamma == 1.0)
+        except FlowError as exc:  # refused where the weight of ||v||^2 overflows
+            assert "overflows" in str(exc)
+            return
+        n = objective.dim
+        d = np.array(direction[:n])
+        offset = radius * d / max(1.0, float(np.linalg.norm(d)))
+        state = FlowState(theta=objective.theta_star + offset, v=np.zeros(n))
+        # a short horizon and step budget bound the cost: near p = 1 the field
+        # jumps across the optimum, and the explicit steps chatter there
+        config = IntegratorConfig(t_max=1.0, record_stride=0.05)
+        (floats, float_counts), (arrays, array_counts) = runs = float_and_numpy_runs(
+            state, params, objective, config, max_steps=2_000
+        )
+        if float_counts["float steps"] == 0:  # a start at the equilibrium takes no step
+            assert array_counts == float_counts and len(floats) == len(arrays) == 1
+            return
+        assert_same_runs(runs)
 
 
 # the interior flow near the Rosenbrock minimum, whose Hessian has an
