@@ -95,8 +95,8 @@ def check_shape(d) -> dict:
     """d, refused with an error naming the section unless it is an object that has an
     objective (with a name), theta0 and flow; its objective, objective params, flow,
     integrator and sweep overrides are objects, theta0, v0, sweep arrays, label a string
-    that can name a file in the output directory, and schema_version and the flow and
-    integrator values numbers (naming the key)."""
+    that can name a file in the output directory, and schema_version, the theta0 and v0
+    entries and the flow and integrator values numbers (naming the key)."""
 
     def need(section, value, array=False):
         if not isinstance(value, (list, tuple) if array else dict):
@@ -122,11 +122,11 @@ def check_shape(d) -> dict:
     numbers = {"schema_version": d.get("schema_version", SCHEMA_VERSION)}
     for section in ("flow", "integrator"):
         numbers.update((f"{section} {k}", v) for k, v in need(section, d.get(section, {})).items())
+    for key in ("theta0", "v0"):
+        numbers.update((f"{key}[{i}]", v) for i, v in enumerate(need(key, d.get(key, ()), array=True)))
     for key, value in numbers.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ExperimentError(f"{key} must be a number, got {type(value).__name__}")
-    need("theta0", d.get("theta0", ()), array=True)
-    need("v0", d.get("v0", ()), array=True)
     for o in need("sweep", d.get("sweep", ()), array=True):
         need("override objective_params", need("sweep override", o).get("objective_params", {}))
     return d
@@ -308,17 +308,21 @@ def sweep(*configs: ExperimentConfig) -> list[tuple[Optional[Trajectory], RunSum
     """Run every sweep member of `configs`; (trajectory or None, summary)
     pairs come back in member order.
 
-    A failing member contributes no trajectory and a summary carrying its
-    error instead of aborting the sweep.  Members run in forked worker
-    processes, one per usable CPU but no more than there are members; with
-    a single worker, or where the platform cannot fork, they run in this
-    process.  Each member's result is the same either way.
+    A repeated member label is refused before any member runs.  A failing
+    member contributes no trajectory and a summary carrying its error
+    instead of aborting the sweep.  Members run in forked worker processes,
+    one per usable CPU but no more than there are members; with a single
+    worker, or where the platform cannot fork, they run in this process.
+    Each member's result is the same either way.
     """
     # imported here so that a plain `run` does not pay for them
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
 
     members = [m for cfg in configs for m in expand(cfg)]
+    for i, m in enumerate(members):  # a label names a member's files: a repeat overwrites them
+        if m.label in (other.label for other in members[:i]):
+            raise ExperimentError(f"sweep member label {m.label!r} is used more than once")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(members), cpus or 1)
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():

@@ -144,17 +144,16 @@ def flow_field(
 ) -> Callable[..., np.ndarray]:
     """The flow as dy/dt = field(t, y, out=None) on the flat state y = [theta, v].
 
+    The field has two forms: `field` itself, on arrays, which the numpy
+    DOPRI5 step and the Radau finish call, and `field.floats`, on Python
+    floats, which the explicit loop calls on a small state.
+
     The field is written into `out` when one is given (and returned), else
     into a fresh array.  It is exactly zero whenever ||z|| <= SINGULAR_TOL:
     for alpha > -1 this is the continuous extension at the equilibrium, and
     it makes the equilibrium an exact fixed point of any integrator.
     `gradient` is called once per evaluation and is not checked for
     finiteness; an overflowing ||z|| yields an inf field instead.
-
-    `field.rows(Y, out)` evaluates the field at each row of the stack Y
-    into the same row of `out`, bit for bit as `field` row by row (the
-    field does not depend on t): one gradient call and the same ||z|| per
-    row, then the formula once over all rows.
 
     `field.floats(y)` evaluates it at a sequence of 2n Python floats and
     returns a list of them, bit for bit as `field`: the gradient is called
@@ -182,40 +181,8 @@ def flow_field(
             return out
         return np.multiply(coef_g * g[ig] + coef_v * y[iv], (znorm ** alpha) * scale, out=out)
 
-    # rows forms of the coefficients by row count: numpy broadcasts a
-    # vector over rows far slower than it multiplies equal shapes
-    tiled = {}
-    scale_v = float(scale[n])  # -kappa, as the field scales v' by it
-
-    def rows(Y, out):
-        m = Y.shape[0]
-        if m not in tiled:
-            tiled[m] = np.tile(coef_g, (m, 1)), np.tile(coef_v, (m, 1))
-        cg, cv = tiled[m]
-        gs, scales, guarded = [], [], []
-        for i, y in enumerate(Y):
-            g = gradient(y[:n])
-            v = y[n:]
-            # BLAS dots as in `field`: a sum over the rows would round differently
-            znorm = math.sqrt(g.dot(g) + v.dot(v))
-            if SINGULAR_TOL < znorm < math.inf:
-                s = znorm ** alpha
-            else:
-                s = 0.0
-                guarded.append((i, 0.0 if znorm <= SINGULAR_TOL else np.inf))
-            gs.append(g)
-            # (znorm ** alpha) * scale as Python floats: the same products
-            scales.append([s] * n + [s * scale_v] * n)
-        G = np.array(gs).take(ig, axis=1)
-        V = Y.take(iv, axis=1)
-        for i, _ in guarded:  # zeros keep the formula finite on rows it does not fill
-            G[i] = V[i] = 0.0
-        np.multiply(cg * G + cv * V, np.array(scales), out=out)
-        for i, value in guarded:
-            out[i] = value
-        return out
-
     c_g, c_v = -(1.0 - beta), 1.0 - gamma  # coef_g of theta', coef_v of v'
+    scale_v = float(scale[n])  # -kappa, as the field scales v' by it
 
     def floats(y):
         ya = np.array(y)
@@ -231,7 +198,6 @@ def flow_field(
             (gamma * a + c_v * b) * s_v for a, b in pairs
         ]
 
-    field.rows = rows
     field.floats = floats
     return field
 

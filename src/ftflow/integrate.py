@@ -10,14 +10,15 @@ frozen.  When the explicit pair stalls in the stiff terminal phase, the
 rest of the run is stepped with Radau IIA (`_Radau`), whose settling time
 is a root of ||z|| - settle_tol on the interpolant of the step it falls in.
 
-The explicit loop steps a state of fewer than FLOAT_STATE_BELOW = 8
-components (n <= 3, as in all of the paper's experiments) on Python floats
-(`_dopri5_floats` with the field's float form), bit for bit as the numpy
-`dopri5_step` that steps a larger state: at these sizes a numpy step's time
-is per-call overhead, not arithmetic, and numpy sums fewer than 8 terms
-left to right, as the float error norm does (at 8 and more it sums them
-in another order).  The settling bisection and the implicit finish take
-the state as an array.
+The field has two forms (`flow.flow_field`).  A state of fewer than
+FLOAT_STATE_BELOW = 8 components (n <= 3, all of the paper's experiments)
+is stepped on Python floats by `_dopri5_floats` and `field.floats`, bit for
+bit as `dopri5_step` and `field` step a larger one.  Summation order fixes
+the bound, not speed: numpy sums fewer than 8 terms left to right, as the
+float error norm does.  Float over numpy step time (p-power, 2-vCPU VM) was
+0.6 at n = 2, 0.9 at n = 8, 1.05 at n = 12, 1.2 at n = 16, 2.5 at n = 50.
+The bisection and the finish, which calls `field` once per collocation
+stage, take the state as an array.
 """
 
 from __future__ import annotations
@@ -239,15 +240,15 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size**0.5
 
 
-def _collocation(rows, y, h, Z0, scale, tol, LU_real, LU_complex, solve_lu):
-    """scipy's `solve_collocation_system` on the field's rows form.
+def _collocation(fun, t, y, h, Z0, scale, tol, LU_real, LU_complex, solve_lu):
+    """scipy's `solve_collocation_system`, with its finiteness check and norm
+    made cheaper (`_all_finite`, `_rms`).
 
     The simplified Newton iteration for the three Radau IIA stages Z (rows
     at t + h C), run in the eigenbasis W = TI Z of the tableau with the
     factors of MU/h I - J.  Returns (converged, n_iter, Z, rate).  Each
-    iteration makes one call `rows(y + Z, F)`, which writes the field at
-    the three stage states into the rows of F: 3 n_iter field evaluations
-    in all.
+    iteration calls the field `fun(t, y)` once per stage: 3 n_iter field
+    evaluations in all.
     """
     n = y.shape[0]
     M_real = _radau.MU_REAL / h
@@ -255,12 +256,14 @@ def _collocation(rows, y, h, Z0, scale, tol, LU_real, LU_complex, solve_lu):
     W = _radau.TI.dot(Z0)
     Z = Z0
     F = np.empty((3, n))
+    ch = h * _radau.C
     dW_norm_old = None
     dW = np.empty_like(W)
     converged = False
     rate = None
     for k in range(_radau.NEWTON_MAXITER):
-        rows(y + Z, F)
+        for i in range(3):
+            F[i] = fun(t + ch[i], y + Z[i])
         if not _all_finite(F):
             break
         f_real = F.T.dot(_radau.TI_REAL) - M_real * W[0]
@@ -329,11 +332,10 @@ class _Radau(Radau):
     It runs the same numpy/BLAS operations on arrays of the same shapes,
     with the tableau and `RadauDenseOutput` taken from scipy, so every
     result, nfev, njev and nlu is bit-identical to stock Radau.  The field
-    is called directly and nfev counted here; its rows form
-    (`fun.rows(Y, out)`, as `flow.flow_field` has; it does not depend on t)
-    evaluates the three collocation stages of a Newton iteration in one
-    call.  `__init__` (initial step, newton_tol, the finite-difference
-    Jacobian) and `step` are scipy's; `integrate` calls `_step_impl` itself.
+    is any scipy-style `fun(t, y)`, called directly (once per collocation
+    stage, as scipy calls it) and nfev counted here.  `__init__` (initial
+    step, newton_tol, the finite-difference Jacobian) and `step` are
+    scipy's; `integrate` calls `_step_impl` itself.
 
     The closures Radau.__init__ stores as `lu` and `solve_lu` wrap
     scipy.linalg's lu_factor and lu_solve, whose per-call checks and
@@ -348,7 +350,7 @@ class _Radau(Radau):
 
     def __init__(self, fun, t0, y0, t_bound, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
-        self._field, self._rows = fun, fun.rows
+        self._field = fun
 
         def lu(A):
             self.nlu += 1
@@ -403,7 +405,7 @@ class _Radau(Radau):
                     LU_real = self.lu(_radau.MU_REAL / h * self.I - J)
                     LU_complex = self.lu(_radau.MU_COMPLEX / h * self.I - J)
                 converged, n_iter, Z, rate = _collocation(
-                    self._rows, y, h, Z0, newton_scale, self.newton_tol,
+                    field, t, y, h, Z0, newton_scale, self.newton_tol,
                     LU_real, LU_complex, solve_lu,
                 )
                 self.nfev += 3 * n_iter
@@ -613,8 +615,6 @@ def integrate(
             # consistent with the settling resolution above.
             def field_dev(tt, w):
                 return field(tt, w + y_eq)
-
-            field_dev.rows = lambda W, out: field.rows(W + y_eq, out)
 
             def crossing(w):
                 return znorm_of(w + y_eq)[0] - config.settle_tol

@@ -167,6 +167,10 @@ class TestRun:
             (("objective", "params", "p"), None, "ppower param p must be a number, got NoneType"),
             (("objective", "params", "dim"), "2", "ppower param dim must be a number, got str"),
             (("label",), [1], "label must be a string, got list"),
+            (("theta0",), [True, 0], "theta0[0] must be a number, got bool"),
+            (("theta0",), [None, 0], "theta0[0] must be a number, got NoneType"),
+            (("v0",), [0, "0"], "v0[1] must be a number, got str"),
+            (("v0",), [0, False], "v0[1] must be a number, got bool"),
         ],
     )
     @pytest.mark.parametrize("flags", [[], ["--alpha", "-0.3"]])
@@ -328,6 +332,25 @@ class TestSweep:
         for label in ("good", "after"):
             assert (tmp_path / f"{label}.csv").exists()
             assert (tmp_path / f"{label}.summary.json").exists()
+
+    def test_repeated_member_label_is_refused_before_running(self, tmp_path, capsys):
+        cfg = replace(
+            preset("fig2"),
+            label="dup",
+            sweep=({"label": "x"}, {"label": "x"}, {}, {"label": "dup-2"}),
+        )
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / "out"
+        assert invoke(["sweep", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "sweep member label 'x' is used more than once" in capsys.readouterr().err
+        assert not out.exists()
+        # a default label repeated by a later member's own
+        cfg = replace(cfg, sweep=({}, {"label": "dup-0"}))
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert invoke(["sweep", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "sweep member label 'dup-0' is used more than once" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCertify:

@@ -157,51 +157,6 @@ class TestVectorField:
         ],
     )
     @pytest.mark.parametrize(
-        "objective", [rosenbrock(), p_power(1.5)], ids=["rosenbrock", "ppower"]
-    )
-    def test_rows_match_the_field_row_by_row(self, params, objective):
-        calls = [0]
-
-        def gradient(theta):
-            calls[0] += 1
-            return objective.gradient(theta)
-
-        field = flow_field(params, gradient, 2)
-        rng = np.random.default_rng(5)
-        special = [
-            [3e-14, 0.0, 0.0, -4e-14],  # in the zero ball (p-power)
-            [1.0, 1.0, 0.0, 0.0],  # in the zero ball (Rosenbrock)
-            [1e200, 0.0, 1.0, 1.0],  # ||z|| overflows
-            [1e160, 1e160, 0.0, 0.0],
-            [-0.0, 0.0, -0.0, 0.0],  # signed zeros
-            [0.5, -0.0, -0.0, 2.0],
-            [np.nan, 1.0, 0.0, 1.0],  # NaN gradient
-        ]
-        scales = rng.choice([1e-7, 1.0, 30.0], (40, 1))
-        Y = np.concatenate([rng.normal(size=(40, 4)) * scales, special])
-        rng.shuffle(Y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = np.array([field(0.0, y) for y in Y])
-            for m in (1, 3, 4, len(Y)):
-                for start in range(0, len(Y), m):
-                    rows = Y[start : start + m]
-                    out = np.full(rows.shape, np.nan)
-                    calls[0] = 0
-                    assert field.rows(rows, out) is out
-                    assert calls[0] == len(rows)
-                    assert same_bits(out, expected[start : start + m])
-        assert np.isinf(expected).any() and (expected == 0.0).all(axis=1).any()
-
-    @pytest.mark.parametrize(
-        "params",
-        [
-            FlowParams(alpha=-0.5, beta=0.3, gamma=0.6, kappa=2.0),
-            FlowParams(alpha=-1.0, beta=1.0, gamma=0.4, kappa=0.7),  # heavy ball
-            FlowParams(alpha=0.0, beta=0.6, gamma=1.0, kappa=1.3),  # PI
-            conservative_params(alpha=-0.25, kappa=3.0),
-        ],
-    )
-    @pytest.mark.parametrize(
         "objective",
         [rosenbrock(), p_power(1.5), p_power(2.5, dim=1), quadratic([0.5, 2.0, 4.0])],
         ids=["rosenbrock", "ppower", "ppower-n1", "quadratic-n3"],

@@ -597,30 +597,22 @@ class TestStiffFinishLU:
         assert [s.nlu for s in solvers] == [3, 3]
 
 
-def with_rows(f):
-    """f given the rows form `f.rows(Y, out)` that the port evaluates its
-    Newton stages with: f at each row of Y, at t = 0, so f must not read t."""
-
-    def rows(Y, out):
-        for i, y in enumerate(Y):
-            out[i] = f(0.0, y)
-        return out
-
-    f.rows = rows
-    return f
-
-
 def van_der_pol(mu):
     def field(t, y):
         return np.array([y[1], mu * (1 - y[0] ** 2) * y[1] - y[0]])
 
-    return with_rows(field)
+    return field
 
 
 def van_der_pol_nan_below(y0_nan):
     """Van der Pol (mu = 1000), NaN where y[0] < y0_nan."""
     stiff = van_der_pol(1000.0)
-    return with_rows(lambda t, y: stiff(t, y) if y[0] >= y0_nan else np.full(2, np.nan))
+    return lambda t, y: stiff(t, y) if y[0] >= y0_nan else np.full(2, np.nan)
+
+
+def prothero_robinson(t, y):
+    """y' = -1000 (y - sin t) + cos t: stiff, and the only field here that reads t."""
+    return -1000.0 * (y - np.sin(t)) + np.cos(t)
 
 
 def nan_corner(t, y):
@@ -649,12 +641,15 @@ STEP_CASES = {
         STIFF_FIELD, STIFF_Y0, 0.5, 1e-8, 1e-12,
         {"error_reject", "newton_refresh", "jac_recompute"},
     ),
+    "prothero-robinson": (
+        prothero_robinson, [1.0, -1.0], 10.0, 1e-6, 1e-8, {"error_reject"},
+    ),
     "nan-field": (
         van_der_pol_nan_below(2.0 - 1e-5), [2.0, 0.0], 1.0, 1e-6, 1e-6,
         {"newton_halve", "newton_refresh", "jac_lu_error"},
     ),
     "too-small-step": (
-        with_rows(nan_corner), [0.0, 0.0], 3.0, 1e-6, 1e-6,
+        nan_corner, [0.0, 0.0], 3.0, 1e-6, 1e-6,
         {"newton_halve", "newton_refresh", "too_small_step"},
     ),
 }
@@ -670,8 +665,8 @@ class TestStiffFinishStep:
         solves = []  # (h, converged, n_iter) of each collocation solve in this step
         collocation = integrate_module._collocation
 
-        def recorded(rows, y, h, *args):
-            out = collocation(rows, y, h, *args)
+        def recorded(fun, t, y, h, *args):
+            out = collocation(fun, t, y, h, *args)
             solves.append((h, out[0], out[1]))
             return out
 
@@ -716,49 +711,6 @@ class TestStiffFinishStep:
             reached["jac_recompute"] += port.njev - njev - kinds["newton_refresh"]
         hit = {kind for kind, n in reached.items() if n > 0}
         assert hit >= branches and hit & ENDS == branches & ENDS, reached
-
-    def test_one_field_call_per_newton_iteration(self, monkeypatch):
-        # the rows form evaluates the three stages of a Newton iteration in
-        # one call, where stock Radau calls the field once per stage; the
-        # port is stepped by scipy's OdeSolver.step, and steps as stock does
-        calls = Counter()
-
-        def plain(t, y):
-            calls["field"] += 1
-            return STIFF_FIELD(t, y)
-
-        def rows(Y, out):
-            calls["rows"] += 1
-            calls["rows of 3"] += Y.shape == (3, 4)
-            return STIFF_FIELD.rows(Y, out)
-
-        plain.rows = rows
-        iterations = []
-        collocation = integrate_module._collocation
-
-        def recorded(*args):
-            out = collocation(*args)
-            iterations.append(out[1])
-            return out
-
-        monkeypatch.setattr(integrate_module, "_collocation", recorded)
-
-        def run(method):
-            calls.clear()
-            solver = method(plain, 0.0, STIFF_Y0, 0.5, rtol=1e-8, atol=1e-12)
-            while solver.status == "running":
-                solver.step()
-            assert solver.status == "finished"
-            return solver, Counter(calls)
-
-        (stock, stock_calls), (port, port_calls) = run(Radau), run(_Radau)
-        assert_same_bits(np.append(port.y, port.t), np.append(stock.y, stock.t))
-        assert (port.nfev, port.njev, port.nlu) == (stock.nfev, stock.njev, stock.nlu)
-        newton = sum(iterations)
-        assert newton > 100
-        assert stock_calls["rows"] == 0
-        assert port_calls["rows"] == port_calls["rows of 3"] == newton
-        assert stock_calls["field"] == port_calls["field"] + 3 * newton
 
     def test_predict_factor_as_scipy(self):
         # scipy's on numpy error norms, as stock Radau passes them; at a zero
@@ -843,9 +795,8 @@ def finish_via_solve_ivp(objective, params, config, t0, w0, method):
         return math.sqrt(g.dot(g) + v.dot(v)) - config.settle_tol
 
     crossing.terminal, crossing.direction = True, -1.0
-    deviation = with_rows(lambda t, w: field(t, w + y_eq))
     sol = solve_ivp(
-        deviation, (t0, config.t_max), w0, method=method,
+        lambda t, w: field(t, w + y_eq), (t0, config.t_max), w0, method=method,
         rtol=config.rel_tol, atol=config.abs_tol, events=crossing, dense_output=True,
     )
     assert sol.status >= 0, sol.message
