@@ -15,7 +15,7 @@ derivative and the energy; the integrator and the certificates call both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,15 +43,14 @@ class FlowParams:
     beta weighs gradient vs momentum in the position update, gamma
     regulates momentum damping, kappa time-scales the momentum dynamics,
     and alpha is the state-dependent scaling exponent.  beta = gamma = 1
-    is the conservative (energy-preserving) configuration: constructible,
-    but carries no convergence claim.
+    is the conservative (energy-preserving) configuration: it carries no
+    convergence claim, and `conservative` says so.
     """
 
     alpha: float
     beta: float
     gamma: float
     kappa: float
-    non_dissipative: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0):
@@ -71,11 +70,6 @@ class FlowParams:
                 f"gamma = {self.gamma} with kappa = {self.kappa} is too small: the weight "
                 "of ||v||^2 in V or dV/dt overflows"
             )
-        if self.beta == 1.0 and self.gamma == 1.0 and not self.non_dissipative:
-            raise FlowError(
-                "beta = gamma = 1 is conservative; build it explicitly via "
-                "conservative_params()"
-            )
 
     @property
     def conservative(self) -> bool:
@@ -86,12 +80,7 @@ class FlowParams:
         return self.beta * self.gamma < 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "kappa": self.kappa,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -124,10 +113,9 @@ class FlowState:
 
 @dataclass(frozen=True)
 class StackedGradientMomentum:
-    """The stacked vector z = [grad f(theta); v] and its Euclidean norm."""
+    """grad f(theta) and the Euclidean norm of the stacked z = [grad f(theta); v]."""
 
     grad: np.ndarray
-    momentum: np.ndarray
     norm: float
 
 
@@ -136,20 +124,19 @@ def stacked(state: FlowState, objective: Objective) -> StackedGradientMomentum:
     if not np.all(np.isfinite(grad)):
         raise FlowError(f"objective returned a non-finite gradient at theta={state.theta}")
     norm = float(np.sqrt(np.dot(grad, grad) + np.dot(state.v, state.v)))
-    return StackedGradientMomentum(grad=grad, momentum=np.asarray(state.v), norm=norm)
+    return StackedGradientMomentum(grad=grad, norm=norm)
 
 
 def flow_field(
     params: FlowParams, gradient: Callable[[np.ndarray], np.ndarray], n: int
-) -> Callable[..., np.ndarray]:
-    """The flow as dy/dt = field(t, y, out=None) on the flat state y = [theta, v].
+) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The flow as dy/dt = field(t, y) on the flat state y = [theta, v].
 
     The field has two forms: `field` itself, on arrays, which the numpy
     DOPRI5 step and the Radau finish call, and `field.floats`, on Python
     floats, which the explicit loop calls on a small state.
 
-    The field is written into `out` when one is given (and returned), else
-    into a fresh array.  It is exactly zero whenever ||z|| <= SINGULAR_TOL:
+    `field` returns a fresh array, exactly zero whenever ||z|| <= SINGULAR_TOL:
     for alpha > -1 this is the continuous extension at the equilibrium, and
     it makes the equilibrium an exact fixed point of any integrator.
     `gradient` is called once per evaluation and is not checked for
@@ -170,16 +157,14 @@ def flow_field(
     scale = np.repeat([1.0, -kappa], n)
     ig, iv = np.tile(np.arange(n), 2), np.tile(np.arange(n, 2 * n), 2)
 
-    def field(t, y, out=None):
+    def field(t, y):
         g = gradient(y[:n])
         v = y[n:]
         znorm = math.sqrt(g.dot(g) + v.dot(v))
         if not SINGULAR_TOL < znorm < math.inf:
             # an overflowing or NaN ||z|| gives inf, so the error control rejects the step
-            out = np.empty(2 * n) if out is None else out
-            out[:] = 0.0 if znorm <= SINGULAR_TOL else np.inf
-            return out
-        return np.multiply(coef_g * g[ig] + coef_v * y[iv], (znorm ** alpha) * scale, out=out)
+            return np.full(2 * n, 0.0 if znorm <= SINGULAR_TOL else np.inf)
+        return (coef_g * g[ig] + coef_v * y[iv]) * ((znorm ** alpha) * scale)
 
     c_g, c_v = -(1.0 - beta), 1.0 - gamma  # coef_g of theta', coef_v of v'
     scale_v = float(scale[n])  # -kappa, as the field scales v' by it
@@ -248,7 +233,6 @@ def conservative_params(alpha: float, kappa: float) -> FlowParams:
     """The non-dissipative beta = gamma = 1 configuration.
 
     Energy H = ||v||^2/2 + kappa (f - f*) is invariant along trajectories,
-    so the flow cannot converge; the returned params are tagged
-    non_dissipative.
+    so the flow cannot converge.
     """
-    return FlowParams(alpha=alpha, beta=1.0, gamma=1.0, kappa=kappa, non_dissipative=True)
+    return FlowParams(alpha, 1.0, 1.0, kappa)

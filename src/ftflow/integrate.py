@@ -19,6 +19,10 @@ float error norm does.  Float over numpy step time (p-power, 2-vCPU VM) was
 0.6 at n = 2, 0.9 at n = 8, 1.05 at n = 12, 1.2 at n = 16, 2.5 at n = 50.
 The bisection and the finish, which calls `field` once per collocation
 stage, take the state as an array.
+
+Patch MAX_STEPS or FLOAT_STATE_BELOW on importlib.import_module("ftflow.integrate"):
+`ftflow/__init__.py` binds the function `integrate` over this module, so setting
+`ftflow.integrate.MAX_STEPS` sets an attribute on the function and patches nothing.
 """
 
 from __future__ import annotations
@@ -202,14 +206,14 @@ def _dopri5_floats(f: Callable, y: list, h: float, k1: list):
 
 
 def dopri5_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray):
-    """One trial step of f(t, y, out) into a fresh K; returns (y_new, error_vector, k_last)."""
+    """One trial step of f(t, y) into a fresh K; returns (y_new, error_vector, k_last)."""
     # an axis-0 add.reduce from -0.0 adds K's rows in order: the written-out sums, bit for bit
     K = np.empty((7, y.shape[0]))
     K[0] = k1
     for s in range(1, 6):
-        f(t + _C[s] * h, y + h * np.add.reduce(_A[s] * K[:s], axis=0, initial=-0.0), K[s])
+        K[s] = f(t + _C[s] * h, y + h * np.add.reduce(_A[s] * K[:s], axis=0, initial=-0.0))
     y_new = y + h * np.add.reduce(_B5_COL * K[_Y5_ROWS], axis=0, initial=-0.0)
-    f(t + h, y_new, K[6])
+    K[6] = f(t + h, y_new)
     err = h * np.add.reduce(_E_COL * K[_ERR_ROWS], axis=0, initial=-0.0)
     return y_new, err, K[6]
 

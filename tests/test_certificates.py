@@ -164,6 +164,26 @@ class TestSchur:
         assert sigma is not None and eps > 0.0
         assert all(r.pd for r in reports)
 
+    def test_select_epsilon_heavy_ball_checks_w1(self):
+        eps, sigma, reports = select_epsilon_sigma(heavy_ball_params(-0.5, 0.5, 1.0), L=4.0)
+        assert eps == 0.3535533905932738 and sigma is None
+        assert [r.matrix_id for r in reports] == ["W", "W1"]
+        assert all(r.pd for r in reports)
+
+    def test_select_epsilon_halves_until_pd(self):
+        # half the threshold sqrt(beta/(gamma kappa L)) is not PD for W2;
+        # seven halvings are, and halving by 2 is exact
+        params = pi_params(alpha=-0.5, beta=0.9, kappa=0.01)
+        eps, _, reports = select_epsilon_sigma(params, L=1.0, m=1.0)
+        assert eps == 0.5 * np.sqrt(0.9 / 0.01) * 0.5**7 == 0.037057941330098196
+        assert [r.matrix_id for r in reports] == ["W", "W2"]
+        assert all(r.pd for r in reports)
+
+    def test_select_epsilon_gives_up_after_30_halvings(self):
+        params = pi_params(alpha=-0.5, beta=0.5, kappa=1.0)
+        with pytest.raises(CertificateError, match="within 30 halvings"):
+            select_epsilon_sigma(params, L=10.0, m=0.1)
+
     def test_select_epsilon_rejects_bad_L(self):
         for L in (0.0, np.nan, np.inf):
             with pytest.raises(CertificateError, match="^L must be positive and finite"):

@@ -66,6 +66,16 @@ class TestConfig:
         again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again.integrator == integrator
 
+    def test_v0_round_trips_to_the_identical_run(self):
+        cfg = replace(preset("fig2-p2"), v0=(0.0, 0.5))
+        again = config_from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert again == cfg
+        (traj, summary), (traj_again, _) = run(cfg), run(again)
+        assert traj.states.tobytes() == traj_again.states.tobytes()
+        assert traj.states[0].tolist() == [1.0, 0.0, 0.0, 0.5]
+        assert summary.settled_at == 2.733405026936622
+        assert len(traj.times) == 342
+
     @pytest.mark.parametrize("key", ["initial_step", "min_step", "max_step", "singular_tol"])
     def test_removed_integrator_key_is_config_error(self, key):
         # configs written when IntegratorConfig had these fields carry them

@@ -74,23 +74,14 @@ class TestConfig:
             IntegratorConfig(**kwargs)
 
 
-def writing_into_out(f):
-    """The two-argument field f as a field(t, y, out=None) that, like
-    flow_field's, writes into `out` when one is given."""
-
-    def field(t, y, out=None):
-        value = f(t, y)
-        if out is None:
-            return value
-        out[:] = value
-        return out
-
-    return field
+def exponential_growth(t, y):
+    """The field of y' = y, whose solution is y0 e^t."""
+    return y
 
 
 class TestStepper:
     def test_single_step_is_fifth_order(self):
-        f = writing_into_out(lambda t, y: y)
+        f = exponential_growth
         y0 = np.array([1.0])
         errors = []
         for h in (0.1, 0.05):
@@ -102,7 +93,7 @@ class TestStepper:
     def test_embedded_error_estimate_bounds_true_error(self):
         # the estimate tracks the 4th-order member, so it is a conservative
         # bound on the 5th-order solution's error and shrinks like h^5
-        f = writing_into_out(lambda t, y: y)
+        f = exponential_growth
         y0 = np.array([1.0])
         estimates = []
         for h in (0.1, 0.05):
@@ -184,7 +175,7 @@ def stepper_field(kind, n, rng):
     def restart():
         calls[0] = 0
 
-    return writing_into_out(f), restart
+    return f, restart
 
 
 def float_step(f, t, y, h, k1):
@@ -284,6 +275,8 @@ class TestIntegrateFlow:
             ("fig1-left-a025", 14_093),
             ("fig1-left-a075", 15_163),
             ("fig1-right-heavyball", 93_246),  # runs the Radau finish to the horizon
+            ("fig2-p2", 2_760),
+            ("conservative", 8_178),  # beta = gamma = 1, read through flow_from_dict
         ],
     )
     def test_gradient_calls_are_pinned(self, name, grad_calls):
@@ -538,7 +531,7 @@ class TestFloatPath:
     ):
         # the parameter box, theta0 from the ball of radius 2 about the optimum
         try:
-            params = FlowParams(alpha, beta, gamma, kappa, non_dissipative=beta == gamma == 1.0)
+            params = FlowParams(alpha, beta, gamma, kappa)
         except FlowError as exc:  # refused where the weight of ||v||^2 overflows
             assert "overflows" in str(exc)
             return

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ftflow.experiments import DOMINANCE_SEED
 from ftflow.objectives import (
     ObjectiveError,
     estimate_dominance,
@@ -147,6 +150,15 @@ class TestFiniteDifferences:
         obj = rosenbrock()
         theta = np.array([0.7, -0.3])
         np.testing.assert_allclose(fd_hessian(obj, theta), obj.hess(theta), atol=1e-3)
+
+    def test_hess_falls_back_to_finite_differences(self):
+        # an objective without an analytic Hessian: hess takes fd_hessian
+        analytic = p_power(3.0)
+        samples = shell_samples(analytic, count=64, seed=DOMINANCE_SEED)
+        expected = hessian_definiteness(analytic, samples)
+        assert expected == pytest.approx((1.0e-3, 4.0))
+        fd = hessian_definiteness(replace(analytic, hessian=None), samples)
+        assert fd == pytest.approx(expected, rel=1e-6)
 
     def test_fd_gradient_rejects_bad_h(self):
         with pytest.raises(ObjectiveError):
