@@ -7,7 +7,10 @@ OUTDIR gets what `scripts/reproduce_figures.py` writes (`ftflow repro
 fig1`, `ftflow repro fig2` and `ftflow run --preset conservative`), and
 `ppower-sweep/` the 30 seed-1 members of the benchmark's `ppower-sweep`
 workload: the configs as `perfbench/workloads.py` generates and writes
-them, and each one's `ftflow run --config` artifacts.  Run it on two
+them, and each one's `ftflow run --config` artifacts.  `ppower-dim4/` and
+`ppower-dim50/` hold `ftflow run --objective ppower --p 1.7` at dim 4 and 50
+from off-axis starts (seeded uniform draws in [-1, 1]), whose states of 8 or
+more components take the step's array form.  Run it on two
 checkouts and compare the outputs with `diff -r`; each run imports ftflow
 from the `src/` of the checkout the script sits in, whatever PYTHONPATH
 says.  Exits with the first non-zero CLI exit code, else 0.
@@ -17,6 +20,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from ftflow.cli import main as cli  # noqa: E402
@@ -24,6 +29,7 @@ from reproduce_figures import reproduce  # noqa: E402
 from workloads import MEMBERS, write_configs  # noqa: E402
 
 SWEEP_SEED = 1
+LARGE_DIMS = (4, 50)
 
 
 def main() -> int:
@@ -34,6 +40,14 @@ def main() -> int:
     sweep = Path(args.outdir) / "ppower-sweep"
     for path in write_configs(MEMBERS["ppower-sweep"](SWEEP_SEED), sweep):
         rc = cli(["run", "--config", str(path), "--output-dir", str(sweep)])
+        code = code or rc
+    for dim in LARGE_DIMS:
+        theta0 = [repr(x) for x in np.random.default_rng(dim).uniform(-1.0, 1.0, dim).tolist()]
+        outdir = Path(args.outdir) / f"ppower-dim{dim}"
+        rc = cli([
+            "run", "--objective", "ppower", "--p", "1.7", "--dim", str(dim),
+            "--theta0", *theta0, "--output-dir", str(outdir),
+        ])
         code = code or rc
     return code
 

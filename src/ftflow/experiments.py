@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -96,7 +97,7 @@ def check_shape(d) -> dict:
     objective (with a name), theta0 and flow; its objective, objective params, flow,
     integrator and sweep overrides are objects, theta0, v0, sweep arrays, label a string
     that can name a file in the output directory, and schema_version, the theta0 and v0
-    entries and the flow and integrator values numbers (naming the key)."""
+    entries and the flow and integrator values numbers, the entries finite (naming the key)."""
 
     def need(section, value, array=False):
         if not isinstance(value, (list, tuple) if array else dict):
@@ -127,6 +128,9 @@ def check_shape(d) -> dict:
     for key, value in numbers.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ExperimentError(f"{key} must be a number, got {type(value).__name__}")
+        # a state entry that is NaN, infinite or an int that overflows a float
+        if key.startswith(("theta0[", "v0[")) and not abs(value) <= sys.float_info.max:
+            raise ExperimentError(f"{key} must be finite, got {value}")
     for o in need("sweep", d.get("sweep", ()), array=True):
         need("override objective_params", need("sweep override", o).get("objective_params", {}))
     return d
@@ -149,7 +153,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     """The one parser of config files, presets, sweep members and CLI flags;
     a key it does not read is an error (objective params: `make_objective`)."""
     _check_keys("config", check_shape(d), _CONFIG_KEYS)
-    if int(d.get("schema_version", SCHEMA_VERSION)) != SCHEMA_VERSION:
+    if d.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:  # 1.0 passes, NaN fails
         raise ExperimentError(f"unsupported schema_version {d.get('schema_version')}")
     _check_keys("objective", d["objective"], ("name", "params"))
     integ = d.get("integrator", {})

@@ -132,9 +132,9 @@ def flow_field(
 ) -> Callable[[float, np.ndarray], np.ndarray]:
     """The flow as dy/dt = field(t, y) on the flat state y = [theta, v].
 
-    The field has two forms: `field` itself, on arrays, which the numpy
-    DOPRI5 step and the Radau finish call, and `field.floats`, on Python
-    floats, which the explicit loop calls on a small state.
+    The field has two forms: `field` itself, on arrays, which the DOPRI5
+    step of a large state and the Radau finish call, and `field.floats`, on
+    Python floats, which the DOPRI5 step of a small state calls.
 
     `field` returns a fresh array, exactly zero whenever ||z|| <= SINGULAR_TOL:
     for alpha > -1 this is the continuous extension at the equilibrium, and

@@ -10,15 +10,16 @@ frozen.  When the explicit pair stalls in the stiff terminal phase, the
 rest of the run is stepped with Radau IIA (`_Radau`), whose settling time
 is a root of ||z|| - settle_tol on the interpolant of the step it falls in.
 
-The field has two forms (`flow.flow_field`).  A state of fewer than
-FLOAT_STATE_BELOW = 8 components (n <= 3, all of the paper's experiments)
-is stepped on Python floats by `_dopri5_floats` and `field.floats`, bit for
-bit as `dopri5_step` and `field` step a larger one.  Summation order fixes
-the bound, not speed: numpy sums fewer than 8 terms left to right, as the
-float error norm does.  Float over numpy step time (p-power, 2-vCPU VM) was
-0.6 at n = 2, 0.9 at n = 8, 1.05 at n = 12, 1.2 at n = 16, 2.5 at n = 50.
-The bisection and the finish, which calls `field` once per collocation
-stage, take the state as an array.
+One step, `dopri5_step`, takes the state as a list of components: 2n Python
+floats with the field's float form (`flow.flow_field`) below FLOAT_STATE_BELOW
+= 8 components (n <= 3, all of the paper's experiments), else `[array]` with
+`field`, each comprehension of the step then running once, vectorized, bit
+for bit as on floats.  Summation order fixes the bound, not speed: numpy sums
+fewer than 8 terms left to right, as the float error norm does.  An array
+step (p-power, best of 7 x 3,000, 2-vCPU VM) took 95-101 us at n = 4 and
+86-127 us at n = 50 (a numpy column tableau: 84-94 and 91-132 us).  The
+bisection and the finish, which calls `field` once per collocation stage,
+take the state as an array.
 
 Patch MAX_STEPS or FLOAT_STATE_BELOW on importlib.import_module("ftflow.integrate"):
 `ftflow/__init__.py` binds the function `integrate` over this module, so setting
@@ -46,31 +47,7 @@ class IntegrationError(RuntimeError):
     pass
 
 
-# Dormand-Prince 5(4) tableau.  _A[s] holds, as a column, the weights of
-# stages 0..s-1 in the input of stage s, taken at t + _C[s] h.  The
-# 5th-order weights are the last stage row (FSAL), and their difference
-# from the 4th-order ones is the error estimate; both skip the k2 row by
-# index, since a zero weight would turn an inf k2 into NaN.  Stage sums
-# start from -0.0, which changes no sum (numpy's +0.0 would turn a sum of
-# -0.0 terms into +0.0); a + (-c) k is a - c k bit for bit.
-_C = (0.0, 0.2, 0.3, 0.8, 8 / 9, 1.0)
-_A = [None] + [
-    np.array(row)[:, None]
-    for row in (
-        (0.2,),
-        (0.075, 0.225),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    )
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_Y5_ROWS, _ERR_ROWS = np.array([0, 2, 3, 4, 5]), np.array([0, 2, 3, 4, 5, 6])
-_B5_COL = _B5[_Y5_ROWS, None]
-_E_COL = (_B5 - _B4)[_ERR_ROWS, None]
-
-FLOAT_STATE_BELOW = 8  # 2n below which the explicit loop steps on floats (module doc)
+FLOAT_STATE_BELOW = 8  # 2n below which the explicit step takes floats, not [array] (module doc)
 INITIAL_STEP = 1e-4
 MIN_STEP = 1e-14
 MAX_STEPS = 5_000_000  # explicit step attempts before a run ends as "step_budget"
@@ -159,7 +136,7 @@ def _error_norm(err, dev0: float, y1: np.ndarray, cfg, y_eq) -> tuple[float, flo
     # so that components momentarily crossing the equilibrium are not
     # over-resolved.  dev0 = ||y0 - y_eq||^2 holds until a step is accepted,
     # so the caller passes the returned ||y1 - y_eq||^2 back as the next dev0.
-    # err is an array or, from the float step, a list of Python floats.
+    # err is the array of an [array] step or the list of a float step.
     d1 = y1 - y_eq
     dev1 = d1.dot(d1)
     scale = cfg.abs_tol + cfg.rel_tol * math.sqrt(max(dev0, dev1))
@@ -174,10 +151,13 @@ def _error_norm(err, dev0: float, y1: np.ndarray, cfg, y_eq) -> tuple[float, flo
     return math.sqrt((q * q).sum() / q.size), dev1
 
 
-def _dopri5_floats(f: Callable, y: list, h: float, k1: list):
-    """dopri5_step on lists of Python floats, bit for bit: the tableau written
-    out stage by stage, each sum in the same order, k2 left out of y_new and
-    the error; f(y) is the field's float form."""
+def dopri5_step(f: Callable, y: list, h: float, k1: list):
+    """One trial step of the autonomous field f(y); returns (y_new, error_vector, k_last).
+
+    y, k1 and what f returns are lists of components: 2n Python floats, or
+    `[array]` when 2n >= FLOAT_STATE_BELOW.  The tableau is written out stage
+    by stage, each sum in the same order for both; k2 is left out of y_new and
+    the error, where a zero weight would turn an inf k2 into NaN."""
     k2 = f([x + h * (0.2 * a) for x, a in zip(y, k1)])
     k3 = f([x + h * (0.075 * a + 0.225 * b) for x, a, b in zip(y, k1, k2)])
     k4 = f([x + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c) for x, a, b, c in zip(y, k1, k2, k3)])
@@ -195,7 +175,7 @@ def _dopri5_floats(f: Callable, y: list, h: float, k1: list):
         for x, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
     ]
     k7 = f(y_new)
-    # the weights of _E_COL, as numpy subtracts _B4 from _B5
+    # the 5th-order weights minus the 4th-order ones
     err = [
         h * ((35 / 384 - 5179 / 57600) * a + (500 / 1113 - 7571 / 16695) * c
              + (125 / 192 - 393 / 640) * d + (92097 / 339200 - 2187 / 6784) * e
@@ -203,19 +183,6 @@ def _dopri5_floats(f: Callable, y: list, h: float, k1: list):
         for a, c, d, e, g, k in zip(k1, k3, k4, k5, k6, k7)
     ]
     return y_new, err, k7
-
-
-def dopri5_step(f: Callable, t: float, y: np.ndarray, h: float, k1: np.ndarray):
-    """One trial step of f(t, y) into a fresh K; returns (y_new, error_vector, k_last)."""
-    # an axis-0 add.reduce from -0.0 adds K's rows in order: the written-out sums, bit for bit
-    K = np.empty((7, y.shape[0]))
-    K[0] = k1
-    for s in range(1, 6):
-        K[s] = f(t + _C[s] * h, y + h * np.add.reduce(_A[s] * K[:s], axis=0, initial=-0.0))
-    y_new = y + h * np.add.reduce(_B5_COL * K[_Y5_ROWS], axis=0, initial=-0.0)
-    K[6] = f(t + h, y_new)
-    err = h * np.add.reduce(_E_COL * K[_ERR_ROWS], axis=0, initial=-0.0)
-    return y_new, err, K[6]
 
 
 # LAPACK getrf and getrs by dtype char, for the real (float64) and complex
@@ -527,12 +494,14 @@ def integrate(
         h = INITIAL_STEP
         z_cur, dev = z0, (y - y_eq).dot(y - y_eq)
         # ya is the state as an array; y is it as the step takes it, a list
-        # of Python floats for a small state, else the array itself
+        # of 2n Python floats for a small state, else [array]
         floats = 2 * n < FLOAT_STATE_BELOW
-        as_array = np.array if floats else np.asarray
-        ya, y = y, y.tolist() if floats else y
+        if floats:
+            f, unpack, ya, y = field.floats, np.array, y, y.tolist()
+        else:  # the flow is autonomous, so t need not be the stage's time
+            f, unpack, ya, y = (lambda c: [field(t, c[0])]), (lambda c: c[0]), y, [y]
         # an inf k1 (overflowing ||z||) fails every step: non_finite
-        k1 = field.floats(y) if floats else field(t, y)
+        k1 = f(y)
 
         # Stagnation watch.  Two failure modes park the explicit pair above
         # settle_tol with no further progress: (i) near a smooth minimum the
@@ -559,12 +528,9 @@ def integrate(
             h = min(h, config.record_stride, config.t_max - t)
             if h < MIN_STEP:
                 h = min(MIN_STEP, config.t_max - t)
-            if floats:
-                y_new, err, k_last = _dopri5_floats(field.floats, y, h, k1)
-            else:
-                y_new, err, k_last = dopri5_step(field, t, y, h, k1)
-            ya_new = as_array(y_new)
-            en, dev_new = _error_norm(err, dev, ya_new, config, y_eq)
+            y_new, err, k_last = dopri5_step(f, y, h, k1)
+            ya_new = unpack(y_new)
+            en, dev_new = _error_norm(err if floats else err[0], dev, ya_new, config, y_eq)
             # grows an accepted step and shrinks one the error control
             # rejects (en > 1 keeps it below 0.9); NaN or inf en gives 0.2
             factor = min(5.0, max(0.2, 0.9 * (en + 1e-16) ** -0.2))
@@ -589,7 +555,7 @@ def integrate(
                 continue
             if z_new <= config.settle_tol:
                 # refine the crossing time by bisection on dense output
-                ends = ya, ya_new, as_array(k1), as_array(k_last), h
+                ends = ya, ya_new, unpack(k1), unpack(k_last), h
                 lo, hi = 0.0, 1.0  # z(lo) > tol >= z(hi)
                 for _ in range(40):  # to hi - lo = 2^-40, below 1e-12
                     mid = 0.5 * (lo + hi)

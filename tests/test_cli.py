@@ -171,6 +171,13 @@ class TestRun:
             (("theta0",), [None, 0], "theta0[0] must be a number, got NoneType"),
             (("v0",), [0, "0"], "v0[1] must be a number, got str"),
             (("v0",), [0, False], "v0[1] must be a number, got bool"),
+            # json reads NaN and Infinity; the version is compared as given, not as int()
+            (("schema_version",), float("inf"), "unsupported schema_version inf"),
+            (("schema_version",), float("nan"), "unsupported schema_version nan"),
+            (("schema_version",), 1.5, "unsupported schema_version 1.5"),
+            (("theta0",), [float("nan"), 0.0], "theta0[0] must be finite, got nan"),
+            (("v0",), [float("inf"), 0.0], "v0[0] must be finite, got inf"),
+            (("v0",), [0.0, -10**400], "v0[1] must be finite, got -1000"),  # overflows a float
         ],
     )
     @pytest.mark.parametrize("flags", [[], ["--alpha", "-0.3"]])
@@ -215,6 +222,11 @@ class TestRun:
         assert code == 2
         assert f"label {label!r} must name a file" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json"]
+
+    def test_non_finite_theta0_flag_is_config_error(self, tmp_path, capsys):
+        args = ["run", "--objective", "ppower", "--theta0", "nan", "0"]
+        assert invoke([*args, "--output-dir", str(tmp_path)]) == 2
+        assert "theta0[0] must be finite, got nan" in capsys.readouterr().err
 
     def test_overflowing_start_reports_non_finite_in_standard_json(self, tmp_path, capsys):
         args = ["run", "--objective", "ppower", "--theta0", "1e200", "0"]

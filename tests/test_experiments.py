@@ -128,6 +128,12 @@ class TestConfig:
         with pytest.raises(ExperimentError):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("version", [1, 1.0])
+    def test_schema_version_equal_to_the_current_one_is_read(self, version):
+        d = PPOWER_CFG.to_dict()
+        d["schema_version"] = version
+        assert config_from_dict(json.loads(json.dumps(d))) == PPOWER_CFG
+
     def test_initial_state_defaults_to_zero_momentum(self):
         state = PPOWER_CFG.initial_state()
         np.testing.assert_allclose(state.v, 0.0)

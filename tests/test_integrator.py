@@ -42,6 +42,10 @@ def ppower_traj(alpha, t_max=50.0):
     return integrate(state, params, p_power(2.0), cfg)
 
 
+def dissipative(alpha):
+    return FlowParams(alpha=alpha, beta=0.5, gamma=0.5, kappa=1.0)
+
+
 class TestConfig:
     def test_defaults_valid(self):
         IntegratorConfig()
@@ -74,34 +78,40 @@ class TestConfig:
             IntegratorConfig(**kwargs)
 
 
-def exponential_growth(t, y):
-    """The field of y' = y, whose solution is y0 e^t."""
+def exponential_growth(y):
+    """The field of y' = y, whose solution is y0 e^t, on either form of the
+    step's components (a list of floats, or [array])."""
     return y
+
+
+# y0 = 1 as the step takes it: one float, or one array of one component;
+# np.ravel reads the one component of either
+STEPPER_STARTS = ([1.0], [np.array([1.0])])
 
 
 class TestStepper:
     def test_single_step_is_fifth_order(self):
         f = exponential_growth
-        y0 = np.array([1.0])
-        errors = []
-        for h in (0.1, 0.05):
-            y1, _, _ = dopri5_step(f, 0.0, y0, h, f(0.0, y0))
-            errors.append(abs(float(y1[0]) - np.exp(h)))
-        # halving h must shrink the local error by about 2^6
-        assert errors[0] / errors[1] > 40.0
+        for y0 in STEPPER_STARTS:
+            errors = []
+            for h in (0.1, 0.05):
+                y1, _, _ = dopri5_step(f, y0, h, f(y0))
+                errors.append(abs(np.ravel(y1)[0] - np.exp(h)))
+            # halving h must shrink the local error by about 2^6
+            assert errors[0] / errors[1] > 40.0
 
     def test_embedded_error_estimate_bounds_true_error(self):
         # the estimate tracks the 4th-order member, so it is a conservative
         # bound on the 5th-order solution's error and shrinks like h^5
         f = exponential_growth
-        y0 = np.array([1.0])
-        estimates = []
-        for h in (0.1, 0.05):
-            y1, err, _ = dopri5_step(f, 0.0, y0, h, f(0.0, y0))
-            true = abs(float(y1[0]) - np.exp(h))
-            assert abs(float(err[0])) > true
-            estimates.append(abs(float(err[0])))
-        assert 20.0 < estimates[0] / estimates[1] < 50.0
+        for y0 in STEPPER_STARTS:
+            estimates = []
+            for h in (0.1, 0.05):
+                y1, err, _ = dopri5_step(f, y0, h, f(y0))
+                true = abs(np.ravel(y1)[0] - np.exp(h))
+                assert abs(np.ravel(err)[0]) > true
+                estimates.append(abs(np.ravel(err)[0]))
+            assert 20.0 < estimates[0] / estimates[1] < 50.0
 
 
 def unrolled_dopri5_step(f, t, y, h, k1):
@@ -179,18 +189,24 @@ def stepper_field(kind, n, rng):
 
 
 def float_step(f, t, y, h, k1):
-    """_dopri5_floats called as dopri5_step: on the floats of y and k1, with
+    """dopri5_step called as the reference: on the floats of y and k1, with
     f's float form, its results returned as arrays."""
-    out = integrate_module._dopri5_floats(
-        lambda s: f(t, np.array(s)).tolist(), y.tolist(), h, k1.tolist()
-    )
+    out = dopri5_step(lambda s: f(t, np.array(s)).tolist(), y.tolist(), h, k1.tolist())
     assert all(type(x) is float for part in out for x in part)
     return tuple(np.array(part) for part in out)
 
 
+def array_step(f, t, y, h, k1):
+    """dopri5_step called as the reference: on [y] and [k1], with f wrapped
+    in a list, its results unpacked."""
+    out = dopri5_step(lambda c: [f(t, c[0])], [y], h, [k1])
+    assert all(len(part) == 1 and type(part[0]) is np.ndarray for part in out)
+    return tuple(part[0] for part in out)
+
+
 class TestStackedStages:
-    """dopri5_step, and the float step of states with fewer than
-    FLOAT_STATE_BELOW components, against the tableau written out."""
+    """dopri5_step on both forms of a state, a list of floats and [array],
+    at every n, against the tableau written out."""
 
     @pytest.mark.parametrize("n", [1, 2, 50, 3])
     @pytest.mark.parametrize("kind", ["linear", "inf-at-k2", "inf-at-k4", "signed-zero"])
@@ -201,8 +217,7 @@ class TestStackedStages:
         if kind == "signed-zero":
             y[0] = -0.0
         k1 = rng.standard_normal(2 * n) if kind.startswith("inf") else f(0.0, y)
-        steps = [dopri5_step] + [float_step] * (2 * n < integrate_module.FLOAT_STATE_BELOW)
-        for step in steps:
+        for step in (float_step, array_step):
             for h in (1e-3, 0.07, 0.5):
                 with np.errstate(all="ignore"):
                     restart()
@@ -295,6 +310,42 @@ class TestIntegrateFlow:
         integrate(cfg.initial_state(), cfg.flow, counting, cfg.integrator)
         assert calls[0] == grad_calls
 
+    @pytest.mark.parametrize(
+        "objective, params, grad_calls, settled_at, samples, handoffs",
+        [
+            (p_power(1.7, dim=4), dissipative(-0.5), 22_595, 4.352156256744056, 2_937, 1),
+            (p_power(1.7, dim=50), dissipative(-0.5), 19_526, 7.387877403396703, 2_335, 1),
+            (
+                quadratic([1, 2, 3, 4, 5, 6.0]), FlowParams(-0.5, 1.0, 0.5, 1.0),
+                13_242, 15.605156971603206, 1_693, 0,  # settles by bisection
+            ),
+        ],
+        ids=["ppower-n4", "ppower-n50", "heavyball-quadratic-n6"],
+    )
+    def test_whole_runs_on_the_array_form_are_pinned(
+        self, objective, params, grad_calls, settled_at, samples, handoffs, monkeypatch
+    ):
+        # n >= 4 steps [array]; an off-axis start, so that no component stays zero
+        n = objective.dim
+        calls = Counter()
+
+        def gradient(theta, base=objective.gradient):
+            calls["gradient"] += 1
+            return base(theta)
+
+        class CountingRadau(integrate_module._Radau):
+            def __init__(self, *args, **kwargs):
+                calls["handoff"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(integrate_module, "_Radau", CountingRadau)
+        state = FlowState(np.random.default_rng(n).uniform(-1, 1, n), np.zeros(n))
+        counting = replace(objective, gradient=gradient)
+        calls.clear()  # registration evaluated the gradient at the optimum
+        traj = integrate(state, params, counting, PP_CFG)
+        assert (calls["gradient"], traj.settled_at, len(traj)) == (grad_calls, settled_at, samples)
+        assert traj.terminated_reason == "settled" and calls["handoff"] == handoffs
+
     def test_gradient_turning_nan_mid_run_ends_non_finite(self):
         objective = p_power(2.0)
 
@@ -384,24 +435,24 @@ class TestIntegrateFlow:
 
 
 def float_and_numpy_runs(state, params, objective, config=IntegratorConfig(), max_steps=None):
-    """integrate on the float step (the default below FLOAT_STATE_BELOW
-    components) and with the numpy step forced, each as (outcome, counts):
-    the Trajectory, or the IntegrationError's message, and the gradient calls
-    and float steps it took."""
+    """integrate on floats (the default below FLOAT_STATE_BELOW components)
+    and with the array form forced, each as (outcome, counts): the
+    Trajectory, or the IntegrationError's message, and the gradient calls and
+    the steps it took on each form."""
     counts = Counter()
 
     def gradient(theta, base=objective.gradient):
         counts["gradient"] += 1
         return base(theta)
 
-    def float_step(*args, step=integrate_module._dopri5_floats):
-        counts["float steps"] += 1
-        return step(*args)
+    def counting_step(f, y, h, k1, step=integrate_module.dopri5_step):
+        counts["float steps" if type(y[0]) is float else "array steps"] += 1
+        return step(f, y, h, k1)
 
     counting = replace(objective, gradient=gradient)
     runs = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integrate_module, "_dopri5_floats", float_step)
+        mp.setattr(integrate_module, "dopri5_step", counting_step)
         if max_steps is not None:
             mp.setattr(integrate_module, "MAX_STEPS", max_steps)
         for below in (integrate_module.FLOAT_STATE_BELOW, 0):
@@ -418,6 +469,8 @@ def float_and_numpy_runs(state, params, objective, config=IntegratorConfig(), ma
 def assert_same_runs(runs):
     (floats, float_counts), (arrays, array_counts) = runs
     assert float_counts["float steps"] > 0 and array_counts["float steps"] == 0
+    assert float_counts["array steps"] == 0
+    assert array_counts["array steps"] == float_counts["float steps"]
     assert float_counts["gradient"] == array_counts["gradient"]
     if isinstance(floats, str):
         assert floats == arrays
@@ -432,12 +485,8 @@ def assert_same_runs(runs):
     )
 
 
-def dissipative(alpha):
-    return FlowParams(alpha=alpha, beta=0.5, gamma=0.5, kappa=1.0)
-
-
 class TestFloatPath:
-    """Whole runs on the float step against the numpy step, bit for bit."""
+    """Whole runs on floats against the array form, bit for bit."""
 
     @pytest.mark.parametrize(
         "objective, theta0",
