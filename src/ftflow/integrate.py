@@ -50,7 +50,7 @@ class IntegrationError(RuntimeError):
 FLOAT_STATE_BELOW = 8  # 2n below which the explicit step takes floats, not [array] (module doc)
 INITIAL_STEP = 1e-4
 MIN_STEP = 1e-14
-MAX_STEPS = 5_000_000  # explicit step attempts before a run ends as "step_budget"
+MAX_STEPS = 5_000_000  # step attempts, explicit and finish, before a run ends as "step_budget"
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ class Trajectory:
     - "non_finite": the step fell below MIN_STEP because the field or its
       error estimate was NaN or inf (a NaN gradient, an overflowing ||z||,
       also at the start);
-    - "step_budget": the explicit phase made MAX_STEPS step attempts.
+    - "step_budget": the run made MAX_STEPS step attempts, explicit steps
+      and finish steps together.
     The last sample is the last accepted state.  A failure of the implicit
     finish (its step shrinking to nothing, or the LU of a Jacobian with NaN
     or inf entries) raises IntegrationError.
@@ -598,7 +599,8 @@ def integrate(
             grid = _arange(t + stride, config.t_max, stride)
             tt = next(grid, math.inf)  # the next point to record; inf past the last
             settled = False
-            while not settled and solver.t < solver.t_bound:
+            # steps - 1 attempts so far: the count that found the stall made none
+            while not settled and solver.t < solver.t_bound and steps <= MAX_STEPS:
                 try:
                     success, message = solver._step_impl()
                 except ValueError as exc:  # the LU of a Jacobian with NaN or inf entries
@@ -616,9 +618,10 @@ def integrate(
                     )
                     w = _dense_at(step, t_end)
                 g = g_new
+                steps += 1
                 # the grid points the step covers; a point on a step's end is
                 # that step's, but the finish's end is recorded below
-                last = settled or solver.t >= solver.t_bound
+                last = settled or solver.t >= solver.t_bound or steps > MAX_STEPS
                 while tt < t_end or tt == t_end and not last:
                     yy = _dense_at(step, tt)
                     yy += y_eq
@@ -628,6 +631,8 @@ def integrate(
             record(t_end, y_end, *znorm_of(y_end))
             if settled:
                 settled_at, reason = t_end, "settled"
+            elif solver.t < solver.t_bound:
+                reason = "step_budget"
 
     # popped one at a time, so that each list is freed before the next array is built
     times, rows, fs, znorms, gnorms2, vnorms2 = [np.array(cols.pop(0)) for _ in range(6)]
