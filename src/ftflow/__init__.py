@@ -10,7 +10,6 @@ singularity, a Lyapunov/certificate engine, and an experiment harness.
 from .flow import (
     FlowParams,
     FlowState,
-    StackedGradientMomentum,
     conservative_params,
     flow_field,
     heavy_ball_params,
@@ -42,7 +41,6 @@ from .certificates import (
     AdmissibilityReport,
     CertificateError,
     CertificateFit,
-    LyapunovValue,
     SchurReport,
     check_admissibility,
     fit_certificate,

@@ -27,13 +27,6 @@ class CertificateError(ValueError):
 
 
 @dataclass(frozen=True)
-class LyapunovValue:
-    v_plain: float
-    v_cross: float
-    epsilon: float
-
-
-@dataclass(frozen=True)
 class SchurReport:
     """PD analysis of one 2x2 block-coefficient matrix."""
 
@@ -81,22 +74,21 @@ def lyapunov_v(state: FlowState, params: FlowParams, objective: Objective) -> fl
 
 def lyapunov_vdot(state: FlowState, params: FlowParams, objective: Objective) -> float:
     """Analytic dV/dt along the flow; 0 where the field is zero."""
-    z = stacked(state, objective)
-    g2 = float(np.dot(z.grad, z.grad))
+    grad, znorm = stacked(state, objective)
+    g2 = float(np.dot(grad, grad))
     v2 = float(np.dot(state.v, state.v))
     # dV/dt does not involve f
-    return float(lyapunov(params, 0.0, g2, v2, z.norm)[1])
+    return float(lyapunov(params, 0.0, g2, v2, znorm)[1])
 
 
 def lyapunov_v_cross(
     state: FlowState, params: FlowParams, objective: Objective, epsilon: float
-) -> LyapunovValue:
-    """V together with the cross-term candidate V - eps v^T grad f."""
+) -> float:
+    """The cross-term candidate V - eps v^T grad f, V being `lyapunov_v`."""
     if epsilon < 0.0:
         raise CertificateError("epsilon must be nonnegative")
-    v_plain = lyapunov_v(state, params, objective)
     cross = float(np.dot(state.v, objective.grad(state.theta)))
-    return LyapunovValue(v_plain=v_plain, v_cross=v_plain - epsilon * cross, epsilon=epsilon)
+    return lyapunov_v(state, params, objective) - epsilon * cross
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +134,7 @@ def schur_w2(params: FlowParams, L: float, m: float, epsilon: float, sigma: floa
 
 
 def structural_case(params: FlowParams) -> str:
-    if params.beta == 1.0 and params.gamma == 1.0:
+    if params.conservative:
         return "conservative"
     if params.beta == 1.0:
         return "heavy_ball"
@@ -209,7 +201,7 @@ def check_admissibility(
 ) -> AdmissibilityReport:
     """Check the finite-time stability conditions for (params, p).
 
-    Requires alpha in [-1, min{2(2-p)/p, 0}), a dissipative structure, and
+    Requires alpha in [-1, min{2(2-p)/p, 0}), a non-conservative structure, and
     the case-dependent Hessian condition supported by the sampled
     eigenvalue evidence.  Hessian evidence is sampled, not global, so a
     certified verdict is evidence-based rather than a proof.
@@ -370,9 +362,9 @@ def lower_upper_bounds(
     ratio = params.beta / (2.0 * params.gamma * params.kappa)
     c1 = min(1.0 / (2.0 * L), ratio)
     c2 = max(eta * dominance.mu ** (1.0 / (1.0 - dominance.p)), ratio)
-    z = stacked(state, objective)
-    gnorm = float(np.linalg.norm(z.grad))
+    grad, znorm = stacked(state, objective)
+    gnorm = float(np.linalg.norm(grad))
     v2 = float(np.dot(state.v, state.v))
-    lower = c1 * z.norm ** 2
+    lower = c1 * znorm ** 2
     upper = c2 * (gnorm ** (1.0 / eta) + v2)
     return lower, upper

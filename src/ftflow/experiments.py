@@ -34,6 +34,7 @@ from .objectives import (
     estimate_dominance,
     hessian_definiteness,
     make_objective,
+    refuse_float_overflow,
     shell_samples,
 )
 
@@ -97,7 +98,8 @@ def check_shape(d) -> dict:
     objective (with a name), theta0 and flow; its objective, objective params, flow,
     integrator and sweep overrides are objects, theta0, v0, sweep arrays, label a string
     that can name a file in the output directory, and schema_version, the theta0 and v0
-    entries and the flow and integrator values numbers, the entries finite (naming the key)."""
+    entries and the flow and integrator values numbers, the entries finite and no number an
+    int too large for a float (naming the key)."""
 
     def need(section, value, array=False):
         if not isinstance(value, (list, tuple) if array else dict):
@@ -131,6 +133,8 @@ def check_shape(d) -> dict:
         # a state entry that is NaN, infinite or an int that overflows a float
         if key.startswith(("theta0[", "v0[")) and not abs(value) <= sys.float_info.max:
             raise ExperimentError(f"{key} must be finite, got {value}")
+    # any other int that overflows one; a NaN or inf meets FlowParams' or IntegratorConfig's checks
+    refuse_float_overflow(numbers.items(), ExperimentError)
     for o in need("sweep", d.get("sweep", ()), array=True):
         need("override objective_params", need("sweep override", o).get("objective_params", {}))
     return d

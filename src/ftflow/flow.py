@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .objectives import Objective
+from .objectives import Objective, refuse_float_overflow
 
 SINGULAR_TOL = 1e-13
 
@@ -53,6 +53,7 @@ class FlowParams:
     kappa: float
 
     def __post_init__(self):
+        refuse_float_overflow(vars(self).items(), FlowError)
         if not (0.0 < self.beta <= 1.0):
             raise FlowError(f"beta must lie in (0, 1], got {self.beta}")
         if not (0.0 < self.gamma <= 1.0):
@@ -74,10 +75,6 @@ class FlowParams:
     @property
     def conservative(self) -> bool:
         return self.beta == 1.0 and self.gamma == 1.0
-
-    @property
-    def dissipative(self) -> bool:
-        return self.beta * self.gamma < 1.0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -111,20 +108,13 @@ class FlowState:
         return self.theta.shape[0]
 
 
-@dataclass(frozen=True)
-class StackedGradientMomentum:
+def stacked(state: FlowState, objective: Objective) -> tuple[np.ndarray, float]:
     """grad f(theta) and the Euclidean norm of the stacked z = [grad f(theta); v]."""
-
-    grad: np.ndarray
-    norm: float
-
-
-def stacked(state: FlowState, objective: Objective) -> StackedGradientMomentum:
     grad = objective.grad(state.theta)
     if not np.all(np.isfinite(grad)):
         raise FlowError(f"objective returned a non-finite gradient at theta={state.theta}")
     norm = float(np.sqrt(np.dot(grad, grad) + np.dot(state.v, state.v)))
-    return StackedGradientMomentum(grad=grad, norm=norm)
+    return grad, norm
 
 
 def flow_field(
@@ -230,7 +220,7 @@ def pi_params(alpha: float, beta: float, kappa: float) -> FlowParams:
 
 
 def conservative_params(alpha: float, kappa: float) -> FlowParams:
-    """The non-dissipative beta = gamma = 1 configuration.
+    """The conservative beta = gamma = 1 configuration.
 
     Energy H = ||v||^2/2 + kappa (f - f*) is invariant along trajectories,
     so the flow cannot converge.

@@ -40,7 +40,7 @@ from scipy.linalg import LinAlgWarning, get_lapack_funcs
 from scipy.optimize import brentq
 
 from .flow import SINGULAR_TOL, FlowParams, FlowState, flow_field, lyapunov
-from .objectives import Objective
+from .objectives import Objective, refuse_float_overflow
 
 
 class IntegrationError(RuntimeError):
@@ -68,6 +68,7 @@ class IntegratorConfig:
     record_stride: float = 0.05
 
     def __post_init__(self):
+        refuse_float_overflow(vars(self).items(), ValueError)
         # written so that NaN fails every check
         if not SINGULAR_TOL < self.settle_tol < np.inf:
             raise ValueError("settle_tol must be finite and exceed the field's SINGULAR_TOL")
@@ -318,6 +319,9 @@ class _Radau(Radau):
 
     The port covers what `integrate` builds: a Jacobian by finite
     differences, forward time, no max_step and a field that is not vectorized.
+    It stays because removing it slows fig1, not to match stock scipy: scipy's
+    predict_factor and norm, its solve_collocation_system or its whole step in
+    its place kept every bit and made fig1 5-13 % slower (ROADMAP item 5).
     """
 
     def __init__(self, fun, t0, y0, t_bound, **options):

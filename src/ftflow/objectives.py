@@ -11,6 +11,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,6 +20,14 @@ import numpy as np
 
 class ObjectiveError(ValueError):
     pass
+
+
+def refuse_float_overflow(named_values, error) -> None:
+    """Raise `error` naming the first value that is an int too large for a float;
+    NaN and inf are floats, left to each caller's range checks."""
+    for name, value in named_values:
+        if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+            raise error(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -246,6 +255,7 @@ def make_objective(name: str, params: Optional[dict] = None) -> Objective:
         if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in items):
             kind = "a number or an array of numbers" if array else "a number"
             raise ObjectiveError(f"{key} param {param} must be {kind}, got {type(value).__name__}")
+        refuse_float_overflow(((f"{key} param {param}", x) for x in items), ObjectiveError)
     return make(**params)
 
 

@@ -178,6 +178,25 @@ class TestRun:
             (("theta0",), [float("nan"), 0.0], "theta0[0] must be finite, got nan"),
             (("v0",), [float("inf"), 0.0], "v0[0] must be finite, got inf"),
             (("v0",), [0.0, -10**400], "v0[1] must be finite, got -1000"),  # overflows a float
+        ] + [
+            # ints too large for a float (integrator ones ran: settle_tol settled at 0)
+            pytest.param(path, 10**400, f"{name} must be finite, got 1000", id=path[-1])
+            for path, name in [
+                (("integrator", "settle_tol"), "integrator settle_tol"),
+                (("integrator", "record_stride"), "integrator record_stride"),
+                (("integrator", "t_max"), "integrator t_max"),
+                (("flow", "kappa"), "flow kappa"),
+                (("flow", "alpha"), "flow alpha"),
+                (("objective", "params", "p"), "ppower param p"),
+                (("objective", "params", "dim"), "ppower param dim"),
+            ]
+        ] + [
+            pytest.param(
+                ("objective",),
+                {"name": "quadratic", "params": {"diag": [1.0, 10**400]}},
+                "quadratic param diag must be finite, got 1000",
+                id="diag",
+            ),
         ],
     )
     @pytest.mark.parametrize("flags", [[], ["--alpha", "-0.3"]])
@@ -261,6 +280,12 @@ class TestRun:
         args = ["run", "--objective", "ppower", "--p", "inf", "--theta0", "1", "0"]
         assert invoke([*args, "--output-dir", str(tmp_path)]) == 2
         assert "error: p must exceed 1 and be finite, got inf" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_dim_too_large_for_a_float_is_config_error(self, tmp_path, capsys):
+        args = ["run", "--objective", "ppower", "--dim", str(10**400)]
+        assert invoke([*args, "--output-dir", str(tmp_path)]) == 2
+        assert "error: ppower param dim must be finite, got 1000" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_infinite_quadratic_weight_is_config_error(self, tmp_path, capsys):

@@ -21,7 +21,7 @@ from ftflow.objectives import p_power, quadratic, rosenbrock
 class TestFlowParams:
     def test_valid_interior(self):
         p = FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0)
-        assert p.dissipative and not p.conservative
+        assert p.beta * p.gamma < 1.0 and not p.conservative
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -38,6 +38,8 @@ class TestFlowParams:
             dict(alpha=0.0, beta=1.0, gamma=5e-324, kappa=0.25),  # 2 gamma kappa is 0
             dict(alpha=0.0, beta=1.0, gamma=1e-300, kappa=1e-10),
             dict(alpha=0.0, beta=1.0, gamma=1e-309, kappa=1e300),
+            # an int too large for a float, which compares below inf
+            dict(alpha=-0.5, beta=0.5, gamma=0.5, kappa=10**400),
         ],
     )
     def test_invalid_parameters(self, kwargs):
@@ -46,7 +48,7 @@ class TestFlowParams:
 
     def test_conservative_needs_explicit_constructor(self):
         p = conservative_params(alpha=-0.5, kappa=1.0)
-        assert p.conservative and not p.dissipative
+        assert p.conservative and not p.beta * p.gamma < 1.0
         assert p == FlowParams(alpha=-0.5, beta=1.0, gamma=1.0, kappa=1.0)
         assert list(p.to_dict().items()) == [
             ("alpha", -0.5), ("beta", 1.0), ("gamma", 1.0), ("kappa", 1.0)
@@ -209,9 +211,9 @@ class TestStackedAndEnergy:
     def test_stacked_norm(self):
         objective = quadratic([1.0, 1.0])
         state = FlowState(theta=np.array([3.0, 0.0]), v=np.array([0.0, 4.0]))
-        z = stacked(state, objective)
-        assert z.norm == pytest.approx(5.0)
-        np.testing.assert_allclose(z.grad, [3.0, 0.0])
+        grad, norm = stacked(state, objective)
+        assert norm == pytest.approx(5.0)
+        np.testing.assert_allclose(grad, [3.0, 0.0])
 
     def test_energy_zero_at_equilibrium(self):
         objective = quadratic([1.0, 1.0])

@@ -13,7 +13,7 @@ from scipy.integrate import Radau, solve_ivp
 from scipy.integrate._ivp import radau as _radau
 from scipy.linalg import LinAlgWarning
 
-from ftflow.experiments import preset
+from ftflow.experiments import export_trajectory, preset, read_trajectory_csv
 from ftflow.flow import FlowError, FlowParams, FlowState, conservative_params, flow_field
 from ftflow.integrate import (
     IntegrationError,
@@ -70,6 +70,12 @@ class TestConfig:
             dict(abs_tol=float("inf")),
             dict(settle_tol=float("inf")),
             dict(record_stride=float("inf")),
+            # ints too large for a float: each compares below inf, and 10**400 settles at 0
+            dict(rel_tol=10**400),
+            dict(abs_tol=10**400),
+            dict(t_max=10**400),
+            dict(settle_tol=10**400),
+            dict(record_stride=10**400),
         ],
     )
     def test_invalid(self, kwargs):
@@ -513,6 +519,47 @@ def assert_same_runs(runs):
     )
 
 
+# the parameter box, the three objective families and theta0 from the ball of
+# radius 2 about the optimum, over which the whole-run properties draw
+SEARCH_SPACE = dict(
+    alpha=st.floats(min_value=-1.0, max_value=0.0),
+    beta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    gamma=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    kappa=st.floats(min_value=0.1, max_value=10.0),
+    objective=st.one_of(
+        st.just(rosenbrock()),
+        st.builds(
+            p_power,
+            st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
+            st.integers(min_value=1, max_value=3),
+        ),
+        st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=3).map(
+            quadratic
+        ),
+    ),
+    direction=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),
+    radius=st.floats(min_value=0.0, max_value=2.0),
+)
+# a short horizon and step budget bound the cost: near p = 1 the field
+# jumps across the optimum, and the explicit steps chatter there
+SEARCH_CONFIG = IntegratorConfig(t_max=1.0, record_stride=0.05)
+SEARCH_MAX_STEPS = 2_000
+
+
+def search_space_start(alpha, beta, gamma, kappa, objective, direction, radius):
+    """(state, params) of one SEARCH_SPACE draw, or None where FlowParams
+    refuses the draw because the weight of ||v||^2 overflows."""
+    try:
+        params = FlowParams(alpha, beta, gamma, kappa)
+    except FlowError as exc:
+        assert "overflows" in str(exc)
+        return None
+    n = objective.dim
+    d = np.array(direction[:n])
+    offset = radius * d / max(1.0, float(np.linalg.norm(d)))
+    return FlowState(theta=objective.theta_star + offset, v=np.zeros(n)), params
+
+
 class TestFloatPath:
     """Whole runs on floats against the array form, bit for bit."""
 
@@ -583,49 +630,49 @@ class TestFloatPath:
         assert_same_runs(runs)
         assert runs[0][0].terminated_reason == "step_budget" and len(runs[0][0]) == 41
 
-    @given(
-        alpha=st.floats(min_value=-1.0, max_value=0.0),
-        beta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
-        gamma=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
-        kappa=st.floats(min_value=0.1, max_value=10.0),
-        objective=st.one_of(
-            st.just(rosenbrock()),
-            st.builds(
-                p_power,
-                st.floats(min_value=1.0, max_value=4.0, exclude_min=True),
-                st.integers(min_value=1, max_value=3),
-            ),
-            st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=3).map(
-                quadratic
-            ),
-        ),
-        direction=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),
-        radius=st.floats(min_value=0.0, max_value=2.0),
-    )
+    @given(**SEARCH_SPACE)
     @settings(max_examples=40, deadline=timedelta(seconds=60))
     def test_same_runs_over_the_search_space(
         self, alpha, beta, gamma, kappa, objective, direction, radius
     ):
-        # the parameter box, theta0 from the ball of radius 2 about the optimum
-        try:
-            params = FlowParams(alpha, beta, gamma, kappa)
-        except FlowError as exc:  # refused where the weight of ||v||^2 overflows
-            assert "overflows" in str(exc)
+        start = search_space_start(alpha, beta, gamma, kappa, objective, direction, radius)
+        if start is None:
             return
-        n = objective.dim
-        d = np.array(direction[:n])
-        offset = radius * d / max(1.0, float(np.linalg.norm(d)))
-        state = FlowState(theta=objective.theta_star + offset, v=np.zeros(n))
-        # a short horizon and step budget bound the cost: near p = 1 the field
-        # jumps across the optimum, and the explicit steps chatter there
-        config = IntegratorConfig(t_max=1.0, record_stride=0.05)
         (floats, float_counts), (arrays, array_counts) = runs = float_and_numpy_runs(
-            state, params, objective, config, max_steps=2_000
+            *start, objective, SEARCH_CONFIG, max_steps=SEARCH_MAX_STEPS
         )
         if float_counts["float steps"] == 0:  # a start at the equilibrium takes no step
             assert array_counts == float_counts and len(floats) == len(arrays) == 1
             return
         assert_same_runs(runs)
+
+
+class TestCsvRoundTrip:
+    @given(**SEARCH_SPACE)
+    @settings(max_examples=40, deadline=timedelta(seconds=60))
+    def test_every_column_comes_back_bit_for_bit(
+        self, tmp_path_factory, alpha, beta, gamma, kappa, objective, direction, radius
+    ):
+        start = search_space_start(alpha, beta, gamma, kappa, objective, direction, radius)
+        if start is None:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrate_module, "MAX_STEPS", SEARCH_MAX_STEPS)
+            try:
+                traj = integrate(*start, objective, SEARCH_CONFIG)
+            except IntegrationError:  # no trajectory to export
+                return
+        path = tmp_path_factory.mktemp("csv") / "run.csv"
+        export_trajectory(traj, path)
+        cols = read_trajectory_csv(path)
+        n = traj.dim
+        expected = {"t": traj.times, "f": traj.f, "V": traj.V, "Vdot": traj.Vdot}
+        expected["znorm"] = traj.z_norm
+        for i in range(n):
+            expected[f"theta_{i}"], expected[f"v_{i}"] = traj.states[:, i], traj.states[:, n + i]
+        assert sorted(cols) == sorted(expected)
+        for name, column in expected.items():
+            assert_same_bits(cols[name], column)
 
 
 # the interior flow near the Rosenbrock minimum, whose Hessian has an

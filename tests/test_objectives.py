@@ -119,6 +119,10 @@ class TestBuiltins:
             ("ppower", {"p": [2.0]}, "ppower param p must be a number, got list"),
             ("quadratic", {"diag": "11"}, "diag must be a number or an array of numbers, got str"),
             ("quadratic", {"diag": [1.0, None]}, "diag must be a number or an array of numbers"),
+            # ints too large for a float
+            ("ppower", {"p": 10**400}, "ppower param p must be finite, got 1000"),
+            ("ppower", {"dim": 10**400}, "ppower param dim must be finite, got 1000"),
+            ("quadratic", {"diag": [1.0, 10**400]}, "quadratic param diag must be finite, got 1000"),
         ],
     )
     def test_param_of_the_wrong_type_is_named(self, name, params, message):
