@@ -332,15 +332,16 @@ def verify_power_bound(a: float, delta: float, grid: int = 200) -> tuple[float, 
 
     Uses the constant C = 2^(a-1) max{1, delta^(a-1)} and returns the
     worst signed slack over a (grid+1)^2 lattice (positive = violation).
-    An argument out of range raises CertificateError, whose message starts
-    with the argument's name.
+    grid lies in [10, 2000]: at 2000 each lattice array is (2001)^2 floats,
+    32 MB.  An argument out of range raises CertificateError, whose message
+    starts with the argument's name, before anything is allocated.
     """
     if not 1.0 <= a < np.inf:
         raise CertificateError(f"a must be >= 1 and finite, got {a}")
     if not 0.0 < delta < np.inf:
         raise CertificateError(f"delta must be positive and finite, got {delta}")
-    if grid < 10:
-        raise CertificateError(f"grid must be >= 10, got {grid}")
+    if not 10 <= grid <= 2000:
+        raise CertificateError(f"grid must lie in [10, 2000], got {grid}")
     C = 2.0 ** (a - 1.0) * max(1.0, delta ** (a - 1.0))
     xs = np.linspace(0.0, delta, grid + 1)
     X, Y = np.meshgrid(xs, xs)

@@ -1,14 +1,16 @@
 """Adaptive Dormand-Prince 5(4) integration of the flow.
 
-Step control combines the embedded error estimate with an extra cap near
-the scaling singularity: once ||z|| drops below 1e-3, steps that would
-change ||z|| by more than 25% are rejected, since with alpha < 0 the
-field stiffens as ||z|| -> 0 and uncontrolled steps overshoot the
-equilibrium.  Settling (||z|| <= settle_tol) is refined by bisection on
-dense output inside the last accepted step, after which the state is
-frozen.  When the explicit pair stalls in the stiff terminal phase, the
-rest of the run is stepped with Radau IIA (`_Radau`), whose settling time
-is a root of ||z|| - settle_tol on the interpolant of the step it falls in.
+With alpha < 0 the field is non-Lipschitz at the equilibrium and its
+Jacobian grows without bound as ||z|| -> 0, so the terminal collapse is
+stiff for the explicit pair.  Such a run hands the rest to Radau IIA
+(`_Radau`) at its first accepted state with ||z|| < 1e-3.  Any run also
+hands off earlier if the explicit pair stalls (the stagnation watch in
+`integrate`).  Below ||z|| = 1e-3, the explicit steps of an alpha = 0 run
+are also capped by a singularity guard, which rejects a step that would
+change ||z|| by more than 25%.  Settling (||z|| <= settle_tol) is refined
+by bisection on dense output inside the last accepted step, or placed by
+brentq on the interpolant of the Radau step it falls in; either way the
+run ends at a time on the settled side, after which the state is frozen.
 
 One step, `dopri5_step`, takes the state as a list of components: 2n Python
 floats with the field's float form (`flow.flow_field`) below FLOAT_STATE_BELOW
@@ -86,10 +88,10 @@ class Trajectory:
     stacked norm ||z||, and (for conservative parameter sets) the energy.
 
     `terminated_reason` says why the run ended:
-    - "settled": ||z|| fell to settle_tol, at `settled_at`.  An explicit
-      settle ends at or below it (the bisection keeps the settled side); a
-      finish settle ends at brentq's root on the Radau step's interpolant,
-      which can sit just above it (1.000000001478961e-09 for 1e-9, fig1-left-a075);
+    - "settled": ||z|| fell to settle_tol, at `settled_at`.  The run ends at
+      or below it: an explicit settle at the settled end of its bisection, a
+      finish settle at the earliest time brentq evaluated on the settled
+      side, at most 2 xtol from its root;
     - "horizon": the run reached t_max;
     - "step_underflow": the step fell below MIN_STEP on finite values, with
       the error control or the singularity guard still unmet;
@@ -508,17 +510,18 @@ def integrate(
         # an inf k1 (overflowing ||z||) fails every step: non_finite
         k1 = f(y)
 
-        # Stagnation watch.  Two failure modes park the explicit pair above
-        # settle_tol with no further progress: (i) near a smooth minimum the
-        # controller sits at the stability boundary, where the stiff
-        # transverse mode is neutrally stable and its amplitude floors
-        # ||z||; (ii) near a non-Lipschitz minimum (p-power with p < 2) the
-        # trajectory rides a sliding manifold whose Jacobian norm grows
-        # like ||z||^(alpha-1), so explicit steps would need O(1/||z||)
-        # work to finish the terminal collapse.  Both are genuine stiffness;
-        # when no 30% decrease of ||z|| happens within 500 step attempts in
-        # the late phase, the remainder is handed to an implicit solver.
-        stalled = False
+        # Two kinds of stiffness hand the rest of the run to an implicit
+        # solver.  (i) With alpha < 0 the field is non-Lipschitz at the
+        # equilibrium: its Jacobian grows like ||z||^(alpha-1), so explicit
+        # steps would need O(1/||z||) work to finish the terminal collapse.
+        # Such a run hands off at its first accepted state (the start
+        # included) with ||z|| < 1e-3, the singularity guard's threshold.
+        # (ii) Near a smooth minimum the controller sits at the stability
+        # boundary, where the stiff transverse mode is neutrally stable and
+        # its amplitude floors ||z||: the stagnation watch hands off when no
+        # 30% decrease of ||z|| happens within 500 step attempts in the late
+        # phase.
+        stiff = False
         z_mark = z0
         attempts_mark = 0
         steps = 0
@@ -527,8 +530,11 @@ def integrate(
             if steps > MAX_STEPS:
                 reason = "step_budget"
                 break
-            if steps - attempts_mark > 500 and z_cur < 1e-2 * z0:
-                stalled = True
+            if (
+                z_cur < 1e-3 and params.alpha < 0
+                or steps - attempts_mark > 500 and z_cur < 1e-2 * z0
+            ):
+                stiff = True
                 break
             h = min(h, config.record_stride, config.t_max - t)
             if h < MIN_STEP:
@@ -543,7 +549,9 @@ def integrate(
             z_new = None
             if accept:
                 z_new, g2_new, v2_new = znorm_of(ya_new)
-                # singularity guard: keep per-step relative change of ||z|| small
+                # singularity guard: keep per-step relative change of ||z||
+                # small; an alpha < 0 run has handed off before ||z|| < 1e-3,
+                # so this acts on alpha = 0 runs only
                 if z_cur < 1e-3 and z_new > config.settle_tol:
                     change = abs(z_new - z_cur)
                     if change > 0.25 * z_cur:
@@ -582,7 +590,7 @@ def integrate(
             record(t, ya, z_new, g2_new, v2_new)
             h *= factor
 
-        if stalled:
+        if stiff:
             # Hand the stiff remainder to scipy's Radau IIA (_Radau: its step
             # ported, bit-identical to stock Radau), stepped here until
             # ||z|| falls to settle_tol or t_max.  Solving in deviation
@@ -603,7 +611,7 @@ def integrate(
             grid = _arange(t + stride, config.t_max, stride)
             tt = next(grid, math.inf)  # the next point to record; inf past the last
             settled = False
-            # steps - 1 attempts so far: the count that found the stall made none
+            # steps - 1 attempts so far: the count that handed off made none
             while not settled and solver.t < solver.t_bound and steps <= MAX_STEPS:
                 try:
                     success, message = solver._step_impl()
@@ -615,12 +623,19 @@ def integrate(
                 g_new = crossing(w)
                 settled = g >= 0 >= g_new  # ||z|| fell to settle_tol within the step
                 if settled:
+                    # the finish ends at the earliest time brentq evaluates on
+                    # the settled side (crossing <= 0), at most 2 xtol from
+                    # its root, which can sit just above settle_tol
+                    def crossing_at(s):
+                        nonlocal t_end, w
+                        ws = _dense_at(step, s)
+                        c = crossing(ws)
+                        if c <= 0 and s < t_end:
+                            t_end, w = s, ws
+                        return c
+
                     eps4 = 4 * np.finfo(float).eps
-                    t_end = brentq(
-                        lambda s: crossing(_dense_at(step, s)), step.t_old, t_end,
-                        xtol=eps4, rtol=eps4,
-                    )
-                    w = _dense_at(step, t_end)
+                    brentq(crossing_at, step.t_old, t_end, xtol=eps4, rtol=eps4)
                 g = g_new
                 steps += 1
                 # the grid points the step covers; a point on a step's end is

@@ -326,6 +326,10 @@ class TestPowerBound:
             verify_power_bound(2.0, 0.0)
         with pytest.raises(CertificateError):
             verify_power_bound(2.0, 1.0, grid=5)
+        # above the bound, refused before the lattice is allocated
+        for grid in (2001, 10**400):
+            with pytest.raises(CertificateError, match=r"^grid must lie in \[10, 2000\]"):
+                verify_power_bound(2.0, 1.0, grid=grid)
         for a, delta in [(np.nan, 1.0), (np.inf, 1.0), (2.0, np.nan), (2.0, np.inf)]:
             with pytest.raises(CertificateError, match="must be"):
                 verify_power_bound(a, delta)

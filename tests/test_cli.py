@@ -497,7 +497,9 @@ class TestGradcheckAndLemma:
         for flags, message in [
             (["--a", "0.5"], "--a must be >= 1 and finite, got 0.5"),
             (["--delta", "nan"], "--delta must be positive and finite, got nan"),
-            (["--grid", "0"], "--grid must be >= 10, got 0"),
+            (["--grid", "0"], "--grid must lie in [10, 2000], got 0"),
+            (["--grid", "2001"], "--grid must lie in [10, 2000], got 2001"),
+            (["--grid", str(10**400)], f"--grid must lie in [10, 2000], got {10**400}"),
         ]:
             argv = ["verify-lemma1", "--a", "2", "--delta", "1", *flags]
             assert invoke(argv) == 2, flags

@@ -46,6 +46,25 @@ def dissipative(alpha):
     return FlowParams(alpha=alpha, beta=0.5, gamma=0.5, kappa=1.0)
 
 
+def record_handoffs(monkeypatch):
+    """A list to which each handoff to the Radau finish appends its time."""
+    handoffs = []
+
+    class CountingRadau(integrate_module._Radau):
+        def __init__(self, fun, t0, y0, t_bound, **options):
+            handoffs.append(t0)
+            super().__init__(fun, t0, y0, t_bound, **options)
+
+    monkeypatch.setattr(integrate_module, "_Radau", CountingRadau)
+    return handoffs
+
+
+def handoff_sample(traj, handoffs):
+    """The index of the recorded state the one handoff started from."""
+    ((k,),) = [np.flatnonzero(traj.times == t0) for t0 in handoffs]
+    return k
+
+
 class TestConfig:
     def test_defaults_valid(self):
         IntegratorConfig()
@@ -266,8 +285,12 @@ class TestIntegrateFlow:
 
     def test_settles_with_bisection_refinement(self):
         # p = 2, beta = gamma = 1/2, kappa = 1: d||z||/dt = -||z||^(1+alpha) / 2
-        # from ||z0|| = 1, so alpha = -1 settles at T = 2 (1 - settle_tol)
-        for alpha, settled_at in [(-0.8, 2.5), (-1.0, 2.0 * (1.0 - 1e-9))]:
+        # from ||z0|| = 1, so alpha = -1 settles at T = 2 (1 - settle_tol) and
+        # alpha = 0 at 2 ln(1 / settle_tol).  alpha = 0 settles by the explicit
+        # bisection, alpha < 0 in the Radau finish: both end on the settled side
+        for alpha, settled_at in [
+            (-0.8, 2.5), (-1.0, 2.0 * (1.0 - 1e-9)), (0.0, 2.0 * math.log(1e9))
+        ]:
             traj = ppower_traj(alpha)
             assert traj.terminated_reason == "settled"
             assert traj.settled_at == pytest.approx(settled_at, abs=1e-5)
@@ -289,23 +312,25 @@ class TestIntegrateFlow:
     @pytest.mark.parametrize(
         "name, grad_calls",
         [
-            ("fig2-p1.5", 19_540),
-            ("fig2-p3", 2_282),
+            ("fig2-p1.5", 7_274),  # the fig2 members hand off at ||z|| < 1e-3
+            ("fig2-p3", 2_858),
             ("fig1-right-interior", 15_051),
             ("fig1-right-pi", 43_503),  # settles on the Radau finish's terminal event
             ("fig1-left-a025", 14_093),
+            ("fig1-left-a05", 15_051),  # fig1-right-interior's run under another label
             ("fig1-left-a075", 15_163),
             ("fig1-right-heavyball", 93_246),  # runs the Radau finish to the horizon
-            ("fig2-p2", 2_760),
+            ("fig2-p2", 5_403),
             ("conservative", 8_178),  # beta = gamma = 1, read through flow_from_dict
         ],
     )
-    def test_gradient_calls_are_pinned(self, name, grad_calls):
+    def test_gradient_calls_are_pinned(self, name, grad_calls, monkeypatch):
         # every gradient evaluation of the explicit steps, the checks of
         # ||z||, the settling bisection and the implicit finish
         cfg = preset(name)
         objective = cfg.objective()
         calls = [0]
+        handoffs = record_handoffs(monkeypatch)
 
         def gradient(theta, base=objective.gradient):
             calls[0] += 1
@@ -313,19 +338,48 @@ class TestIntegrateFlow:
 
         counting = replace(objective, gradient=gradient)
         calls[0] = 0  # registration evaluated the gradient at the optimum
-        integrate(cfg.initial_state(), cfg.flow, counting, cfg.integrator)
+        traj = integrate(cfg.initial_state(), cfg.flow, counting, cfg.integrator)
         assert calls[0] == grad_calls
+        if traj.terminated_reason == "settled":
+            assert traj.z_norm[-1] <= cfg.integrator.settle_tol
+        if name.startswith("fig1-"):
+            # every fig1 member hands off above the alpha < 0 rule's 1e-3, by
+            # the stagnation watch, so the rule leaves its counts as they were
+            assert traj.z_norm[handoff_sample(traj, handoffs)] > 1e-3
+
+    @pytest.mark.parametrize(
+        "theta0, handoff_at",
+        [([1.0, 0.0], 246), ([5e-4, 0.0], 0)],  # the sample the finish starts from
+        ids=["from-1", "start-below-1e-3"],
+    )
+    def test_alpha_below_zero_hands_off_below_1e_3(self, theta0, handoff_at, monkeypatch):
+        # with alpha < 0 the field's Jacobian grows without bound as ||z|| -> 0:
+        # the run hands off once, at its first accepted state with ||z|| < 1e-3
+        handoffs = record_handoffs(monkeypatch)
+        state = FlowState(theta=np.array(theta0), v=np.zeros(2))
+        traj = integrate(state, dissipative(-0.5), p_power(2.0), PP_CFG)
+        k = handoff_sample(traj, handoffs)
+        assert k == handoff_at
+        assert traj.z_norm[k] < 1e-3 and np.all(traj.z_norm[:k] >= 1e-3)
+        assert traj.terminated_reason == "settled"
+        assert traj.z_norm[-1] <= PP_CFG.settle_tol
+        # the same run with alpha = 0 stays on the explicit pair
+        handoffs.clear()
+        traj = integrate(state, dissipative(0.0), p_power(2.0), PP_CFG)
+        assert handoffs == []
+        assert traj.terminated_reason == "settled"
+        assert traj.z_norm[-1] <= PP_CFG.settle_tol
 
     @pytest.mark.parametrize(
         "objective, params, grad_calls, settled_at, samples, handoffs",
         [
-            (p_power(1.7, dim=4), dissipative(-0.5), 22_595, 4.352156256744056, 2_937, 1),
+            (p_power(1.7, dim=4), dissipative(-0.5), 5_359, 4.352150752227589, 372, 1),
             # n = 49, not 50: the finish's LU is then 98 x 98, below the 100 x 100
             # at which OpenBLAS's getrf starts threads, which stall on a busy host
-            (p_power(1.7, dim=49), dissipative(-0.5), 19_595, 7.4856858024121005, 2_352, 1),
+            (p_power(1.7, dim=49), dissipative(-0.5), 12_837, 7.485676772794025, 480, 1),
             (
                 quadratic([1, 2, 3, 4, 5, 6.0]), FlowParams(-0.5, 1.0, 0.5, 1.0),
-                13_242, 15.605156971603206, 1_693, 0,  # settles by bisection
+                28_412, 15.605156963642488, 1_233, 1,
             ),
         ],
         ids=["ppower-n4", "ppower-n49", "heavyball-quadratic-n6"],
@@ -353,6 +407,7 @@ class TestIntegrateFlow:
         traj = integrate(state, params, counting, PP_CFG)
         assert (calls["gradient"], traj.settled_at, len(traj)) == (grad_calls, settled_at, samples)
         assert traj.terminated_reason == "settled" and calls["handoff"] == handoffs
+        assert traj.z_norm[-1] <= PP_CFG.settle_tol
 
     def test_gradient_turning_nan_mid_run_ends_non_finite(self):
         objective = p_power(2.0)
@@ -500,9 +555,11 @@ def float_and_numpy_runs(state, params, objective, config=IntegratorConfig(), ma
     return runs
 
 
-def assert_same_runs(runs):
+def assert_same_runs(runs, stepped=True):
+    """The two runs of float_and_numpy_runs agree bit for bit; `stepped` says
+    whether the run takes an explicit step at all."""
     (floats, float_counts), (arrays, array_counts) = runs
-    assert float_counts["float steps"] > 0 and array_counts["float steps"] == 0
+    assert (float_counts["float steps"] > 0) == stepped and array_counts["float steps"] == 0
     assert float_counts["array steps"] == 0
     assert array_counts["array steps"] == float_counts["float steps"]
     assert float_counts["gradient"] == array_counts["gradient"]
@@ -573,8 +630,16 @@ class TestFloatPath:
         ids=["n1", "n2", "n3"],
     )
     def test_explicit_settle(self, objective, theta0):
+        # alpha = -0.8: the explicit steps hand off at ||z|| < 1e-3, and the finish settles
         state = FlowState(theta=np.array(theta0), v=np.zeros(len(theta0)))
         runs = float_and_numpy_runs(state, dissipative(-0.8), objective, PP_CFG)
+        assert_same_runs(runs)
+        assert runs[0][0].terminated_reason == "settled"
+
+    def test_bisection_settle(self):
+        # alpha = 0 stays on the explicit steps and settles by bisection
+        state = FlowState(theta=np.array([1.0, 0.0]), v=np.zeros(2))
+        runs = float_and_numpy_runs(state, dissipative(0.0), p_power(2.0), PP_CFG)
         assert_same_runs(runs)
         assert runs[0][0].terminated_reason == "settled"
 
@@ -600,7 +665,7 @@ class TestFloatPath:
         )
         assert_same_runs(runs)
         (traj, counts), _ = runs
-        # settled in the finish: brentq's root, not a bisection's end
+        # settled in the finish, on the settled side of brentq's root
         assert traj.terminated_reason == "settled" and counts["gradient"] == 15_051
 
     def test_nan_gradient_mid_run(self):
@@ -638,13 +703,14 @@ class TestFloatPath:
         start = search_space_start(alpha, beta, gamma, kappa, objective, direction, radius)
         if start is None:
             return
-        (floats, float_counts), (arrays, array_counts) = runs = float_and_numpy_runs(
-            *start, objective, SEARCH_CONFIG, max_steps=SEARCH_MAX_STEPS
+        runs = float_and_numpy_runs(*start, objective, SEARCH_CONFIG, max_steps=SEARCH_MAX_STEPS)
+        # no explicit step: a start that is settled, or an alpha < 0 start
+        # with ||z0|| < 1e-3, which hands off to the finish at once
+        g = objective.grad(start[0].theta)
+        z0 = math.sqrt(g.dot(g))
+        assert_same_runs(
+            runs, stepped=not (z0 <= SEARCH_CONFIG.settle_tol or alpha < 0 and z0 < 1e-3)
         )
-        if float_counts["float steps"] == 0:  # a start at the equilibrium takes no step
-            assert array_counts == float_counts and len(floats) == len(arrays) == 1
-            return
-        assert_same_runs(runs)
 
 
 class TestCsvRoundTrip:
@@ -911,17 +977,28 @@ def finish_via_solve_ivp(objective, params, config, t0, w0, method):
         g, v = objective.grad(w[:n] + y_eq[:n]), w[n:]
         return math.sqrt(g.dot(g) + v.dot(v)) - config.settle_tol
 
-    crossing.terminal, crossing.direction = True, -1.0
+    def event(t, w):
+        c = crossing(t, w)
+        if c <= 0:
+            settled_side.append((t, w + y_eq))
+        return c
+
+    settled_side = []  # (t, y) of each evaluation at or below settle_tol, all in the last step
+    event.terminal, event.direction = True, -1.0
     sol = solve_ivp(
         lambda t, w: field(t, w + y_eq), (t0, config.t_max), w0, method=method,
-        rtol=config.rel_tol, atol=config.abs_tol, events=crossing, dense_output=True,
+        rtol=config.rel_tol, atol=config.abs_tol, events=event, dense_output=True,
     )
     assert sol.status >= 0, sol.message
-    t_end = float(sol.t[-1])
+    # a settle ends at the earliest evaluation on the settled side, not at
+    # the event's root, which can sit just above settle_tol
+    t_end, y_end = min(settled_side, key=lambda e: e[0]) if sol.status == 1 else (
+        float(sol.t[-1]), sol.y[:, -1] + y_eq
+    )
     stride = config.record_stride / 4.0
     grid = np.arange(t0 + stride, t_end, stride)
     times = np.append(grid, t_end)
-    states = np.array([sol.sol(tt) + y_eq for tt in grid] + [sol.y[:, -1] + y_eq])
+    states = np.array([sol.sol(tt) + y_eq for tt in grid] + [y_end])
     return sol, times, states
 
 
@@ -960,6 +1037,7 @@ class TestStiffFinishDriver:
         assert calls_finish == calls[0] + len(times)
         if sol.status == 1:
             assert (traj.terminated_reason, traj.settled_at) == ("settled", times[-1])
+            assert traj.z_norm[-1] <= config.settle_tol
         else:
             assert (traj.terminated_reason, traj.settled_at) == ("horizon", None)
         return sol, times
