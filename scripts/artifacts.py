@@ -10,7 +10,10 @@ workload: the configs as `perfbench/workloads.py` generates and writes
 them, and each one's `ftflow run --config` artifacts.  `ppower-dim4/` and
 `ppower-dim50/` hold `ftflow run --objective ppower --p 1.7` at dim 4 and 50
 from off-axis starts (seeded uniform draws in [-1, 1]), whose states of 8 or
-more components take the step's array form.  Run it on two
+more components take the step's array form.  `ppower-alpha0/` holds
+`ftflow run --objective ppower --p 2 --alpha 0`, the unscaled flow: every
+other run here has alpha < 0 or never settles, so it is the one run whose
+step to settle_tol hands off to the finish.  Run it on two
 checkouts and compare the outputs with `diff -r`; each run imports ftflow
 from the `src/` of the checkout the script sits in, whatever PYTHONPATH
 says.  Exits with the first non-zero CLI exit code, else 0.
@@ -49,7 +52,11 @@ def main() -> int:
             "--theta0", *theta0, "--output-dir", str(outdir),
         ])
         code = code or rc
-    return code
+    rc = cli([
+        "run", "--objective", "ppower", "--p", "2", "--alpha", "0",
+        "--output-dir", str(Path(args.outdir) / "ppower-alpha0"),
+    ])
+    return code or rc
 
 
 if __name__ == "__main__":

@@ -238,8 +238,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.samples < 1:
-        raise ExperimentError(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= args.samples <= 100_000:
+        raise ExperimentError(f"--samples must lie in [1, 100000], got {args.samples}")
     objective = _objective_from_args(args)
     rng = np.random.default_rng(args.seed)
     worst = 0.0

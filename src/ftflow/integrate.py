@@ -5,12 +5,10 @@ Jacobian grows without bound as ||z|| -> 0, so the terminal collapse is
 stiff for the explicit pair.  Such a run hands the rest to Radau IIA
 (`_Radau`) at its first accepted state with ||z|| < 1e-3.  Any run also
 hands off earlier if the explicit pair stalls (the stagnation watch in
-`integrate`).  Below ||z|| = 1e-3, the explicit steps of an alpha = 0 run
-are also capped by a singularity guard, which rejects a step that would
-change ||z|| by more than 25%.  Settling (||z|| <= settle_tol) is refined
-by bisection on dense output inside the last accepted step, or placed by
-brentq on the interpolant of the Radau step it falls in; either way the
-run ends at a time on the settled side, after which the state is frozen.
+`integrate`), and from the state before an explicit step that would reach
+settle_tol.  So a run settles (||z|| <= settle_tol) only in the finish,
+unless it starts settled: brentq places the crossing on the interpolant of
+the Radau step it falls in, and the run ends at a time on the settled side.
 
 One step, `dopri5_step`, takes the state as a list of components: 2n Python
 floats with the field's float form (`flow.flow_field`) below FLOAT_STATE_BELOW
@@ -20,8 +18,8 @@ for bit as on floats.  Summation order fixes the bound, not speed: numpy sums
 fewer than 8 terms left to right, as the float error norm does.  An array
 step (p-power, best of 7 x 3,000, 2-vCPU VM) took 95-101 us at n = 4 and
 86-127 us at n = 50 (a numpy column tableau: 84-94 and 91-132 us).  The
-bisection and the finish, which calls `field` once per collocation stage,
-take the state as an array.
+finish, which calls `field` once per collocation stage, takes the state as
+an array.
 
 Patch MAX_STEPS or FLOAT_STATE_BELOW on importlib.import_module("ftflow.integrate"):
 `ftflow/__init__.py` binds the function `integrate` over this module, so setting
@@ -59,7 +57,7 @@ MAX_STEPS = 5_000_000  # step attempts, explicit and finish, before a run ends a
 class IntegratorConfig:
     """Tolerances, horizon and recording grid of one integration.
 
-    Steps are capped by record_stride (every accepted step is recorded)
+    Explicit steps are capped by record_stride (each accepted one is recorded)
     and by the time left to t_max.
     """
 
@@ -88,13 +86,13 @@ class Trajectory:
     stacked norm ||z||, and (for conservative parameter sets) the energy.
 
     `terminated_reason` says why the run ended:
-    - "settled": ||z|| fell to settle_tol, at `settled_at`.  The run ends at
-      or below it: an explicit settle at the settled end of its bisection, a
-      finish settle at the earliest time brentq evaluated on the settled
-      side, at most 2 xtol from its root;
+    - "settled": ||z|| fell to settle_tol, at `settled_at`: 0 for a start
+      at or below it, else in the Radau finish, whose run ends at the
+      earliest time brentq evaluated on the settled side, at most 2 xtol
+      from its root;
     - "horizon": the run reached t_max;
     - "step_underflow": the step fell below MIN_STEP on finite values, with
-      the error control or the singularity guard still unmet;
+      the error control still unmet;
     - "non_finite": the step fell below MIN_STEP because the field or its
       error estimate was NaN or inf (a NaN gradient, an overflowing ||z||,
       also at the start);
@@ -439,13 +437,6 @@ class _Radau(Radau):
         return True, None
 
 
-def _hermite(y0, y1, f0, f1, h, s):
-    """Cubic Hermite dense output on one step, s in [0, 1]."""
-    a = 2 * (y0 - y1) + h * (f0 + f1)
-    b = -3 * (y0 - y1) - h * (2 * f0 + f1)
-    return ((a * s + b) * s + h * f0) * s + y0
-
-
 # A run that turns non-finite ends with a reason (non_finite, or an
 # IntegrationError); the overflow and invalid-operation warnings numpy
 # would print on the way say nothing more.
@@ -458,8 +449,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate the flow from state0 until settling, t_max, or underflow.
 
-    Every accepted step is recorded (step sizes are capped at
-    record_stride), so channels live on actual Runge-Kutta nodes.
+    Every accepted explicit step is recorded (step sizes are capped at
+    record_stride), so channels live on actual Runge-Kutta nodes; the Radau
+    finish records a grid of record_stride / 4 and its end, where a settled
+    run's crossing sits.
     """
     n = state0.dim
     if n != objective.dim:
@@ -510,32 +503,32 @@ def integrate(
         # an inf k1 (overflowing ||z||) fails every step: non_finite
         k1 = f(y)
 
-        # Two kinds of stiffness hand the rest of the run to an implicit
-        # solver.  (i) With alpha < 0 the field is non-Lipschitz at the
-        # equilibrium: its Jacobian grows like ||z||^(alpha-1), so explicit
-        # steps would need O(1/||z||) work to finish the terminal collapse.
-        # Such a run hands off at its first accepted state (the start
-        # included) with ||z|| < 1e-3, the singularity guard's threshold.
-        # (ii) Near a smooth minimum the controller sits at the stability
-        # boundary, where the stiff transverse mode is neutrally stable and
-        # its amplitude floors ||z||: the stagnation watch hands off when no
-        # 30% decrease of ||z|| happens within 500 step attempts in the late
-        # phase.
-        stiff = False
+        # The run hands the rest to an implicit solver in three cases.  (i)
+        # With alpha < 0 the field is non-Lipschitz at the equilibrium: its
+        # Jacobian grows like ||z||^(alpha-1), so explicit steps would need
+        # O(1/||z||) work to finish the terminal collapse.  Such a run hands
+        # off at its first accepted state (the start included) with ||z|| <
+        # 1e-3.  (ii) Near a smooth minimum the controller sits at the
+        # stability boundary, where the stiff transverse mode is neutrally
+        # stable and its amplitude floors ||z||: the stagnation watch hands
+        # off when no 30% decrease of ||z|| happens within 500 step attempts
+        # in the late phase.  (iii) A step that would reach settle_tol is
+        # dropped, and the finish places the crossing from the state before.
+        handoff = False
         z_mark = z0
         attempts_mark = 0
-        steps = 0
+        steps = 0  # step attempts made
         while t < config.t_max:
-            steps += 1
-            if steps > MAX_STEPS:
+            if steps >= MAX_STEPS:
                 reason = "step_budget"
                 break
             if (
                 z_cur < 1e-3 and params.alpha < 0
-                or steps - attempts_mark > 500 and z_cur < 1e-2 * z0
+                or steps - attempts_mark >= 500 and z_cur < 1e-2 * z0
             ):
-                stiff = True
+                handoff = True
                 break
+            steps += 1
             h = min(h, config.record_stride, config.t_max - t)
             if h < MIN_STEP:
                 h = min(MIN_STEP, config.t_max - t)
@@ -545,42 +538,17 @@ def integrate(
             # grows an accepted step and shrinks one the error control
             # rejects (en > 1 keeps it below 0.9); NaN or inf en gives 0.2
             factor = min(5.0, max(0.2, 0.9 * (en + 1e-16) ** -0.2))
-            accept = en <= 1.0
-            z_new = None
-            if accept:
-                z_new, g2_new, v2_new = znorm_of(ya_new)
-                # singularity guard: keep per-step relative change of ||z||
-                # small; an alpha < 0 run has handed off before ||z|| < 1e-3,
-                # so this acts on alpha = 0 runs only
-                if z_cur < 1e-3 and z_new > config.settle_tol:
-                    change = abs(z_new - z_cur)
-                    if change > 0.25 * z_cur:
-                        accept = False
-                        h *= max(0.1, 0.5 * 0.25 * z_cur / change)
-            if not accept:
-                if z_new is None:
-                    h *= factor
+            if not en <= 1.0:  # a NaN en rejects
+                h *= factor
                 if h < MIN_STEP:
                     # a non-finite error norm at the smallest step: the field
                     # is NaN or inf at or next to the state, so no step can help
                     reason = "step_underflow" if math.isfinite(en) else "non_finite"
                     break
                 continue
+            z_new, g2_new, v2_new = znorm_of(ya_new)
             if z_new <= config.settle_tol:
-                # refine the crossing time by bisection on dense output
-                ends = ya, ya_new, unpack(k1), unpack(k_last), h
-                lo, hi = 0.0, 1.0  # z(lo) > tol >= z(hi)
-                for _ in range(40):  # to hi - lo = 2^-40, below 1e-12
-                    mid = 0.5 * (lo + hi)
-                    if znorm_of(_hermite(*ends, mid))[0] <= config.settle_tol:
-                        hi = mid
-                    else:
-                        lo = mid
-                y_set = _hermite(*ends, hi)
-                t_set = t + hi * h
-                record(t_set, y_set, *znorm_of(y_set))
-                settled_at = t_set
-                reason = "settled"
+                handoff = True
                 break
             t, y, ya, k1, dev = t + h, y_new, ya_new, k_last, dev_new
             z_cur = z_new
@@ -590,12 +558,12 @@ def integrate(
             record(t, ya, z_new, g2_new, v2_new)
             h *= factor
 
-        if stiff:
-            # Hand the stiff remainder to scipy's Radau IIA (_Radau: its step
+        if handoff:
+            # Hand the remainder to scipy's Radau IIA (_Radau: its step
             # ported, bit-identical to stock Radau), stepped here until
             # ||z|| falls to settle_tol or t_max.  Solving in deviation
             # coordinates (w = y - y_eq) keeps its relative error scaling
-            # consistent with the settling resolution above.
+            # consistent with the explicit steps' error norm.
             def field_dev(tt, w):
                 return field(tt, w + y_eq)
 
@@ -611,8 +579,7 @@ def integrate(
             grid = _arange(t + stride, config.t_max, stride)
             tt = next(grid, math.inf)  # the next point to record; inf past the last
             settled = False
-            # steps - 1 attempts so far: the count that handed off made none
-            while not settled and solver.t < solver.t_bound and steps <= MAX_STEPS:
+            while not settled and solver.t < solver.t_bound and steps < MAX_STEPS:
                 try:
                     success, message = solver._step_impl()
                 except ValueError as exc:  # the LU of a Jacobian with NaN or inf entries
@@ -639,15 +606,16 @@ def integrate(
                 g = g_new
                 steps += 1
                 # the grid points the step covers; a point on a step's end is
-                # that step's, but the finish's end is recorded below
-                last = settled or solver.t >= solver.t_bound or steps > MAX_STEPS
+                # that step's, but the finish's last step records its end below
+                last = settled or solver.t >= solver.t_bound or steps >= MAX_STEPS
                 while tt < t_end or tt == t_end and not last:
                     yy = _dense_at(step, tt)
                     yy += y_eq
                     record(tt, yy, *znorm_of(yy))
                     tt = next(grid, math.inf)
-            y_end = w + y_eq
-            record(t_end, y_end, *znorm_of(y_end))
+                if last:  # a handoff on the budget's last attempt steps and records nothing
+                    y_end = w + y_eq
+                    record(t_end, y_end, *znorm_of(y_end))
             if settled:
                 settled_at, reason = t_end, "settled"
             elif solver.t < solver.t_bound:

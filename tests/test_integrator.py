@@ -283,19 +283,28 @@ class TestIntegrateFlow:
         expected = np.exp(-0.5 * traj.times)
         np.testing.assert_allclose(traj.z_norm, expected, rtol=1e-6)
 
-    def test_settles_with_bisection_refinement(self):
+    def test_settles_at_the_closed_form_time(self, monkeypatch):
         # p = 2, beta = gamma = 1/2, kappa = 1: d||z||/dt = -||z||^(1+alpha) / 2
-        # from ||z0|| = 1, so alpha = -1 settles at T = 2 (1 - settle_tol) and
-        # alpha = 0 at 2 ln(1 / settle_tol).  alpha = 0 settles by the explicit
-        # bisection, alpha < 0 in the Radau finish: both end on the settled side
-        for alpha, settled_at in [
-            (-0.8, 2.5), (-1.0, 2.0 * (1.0 - 1e-9)), (0.0, 2.0 * math.log(1e9))
+        # from ||z0|| = 1, so alpha < 0 settles at T = 2 (1 - settle_tol^-alpha)
+        # / -alpha and alpha = 0 at 2 ln(1 / settle_tol).  Every run settles in
+        # the Radau finish, on the settled side: alpha < 0 hands off below
+        # ||z|| = 1e-3 or, with settle_tol = 1e-2 above it, at the step that
+        # would cross settle_tol, as alpha = 0 does
+        handoffs = record_handoffs(monkeypatch)
+        for alpha, settle_tol, settled_at in [
+            (-0.8, 1e-9, 2.5),
+            (-1.0, 1e-9, 2.0 * (1.0 - 1e-9)),
+            (0.0, 1e-9, 2.0 * math.log(1e9)),
+            (-0.8, 1e-2, 2.5 * (1.0 - 0.01**0.8)),
         ]:
-            traj = ppower_traj(alpha)
-            assert traj.terminated_reason == "settled"
+            handoffs.clear()
+            state = FlowState(theta=np.array([1.0, 0.0]), v=np.zeros(2))
+            config = replace(PP_CFG, settle_tol=settle_tol)
+            traj = integrate(state, dissipative(alpha), p_power(2.0), config)
+            assert traj.terminated_reason == "settled" and len(handoffs) == 1
             assert traj.settled_at == pytest.approx(settled_at, abs=1e-5)
             assert traj.times[-1] == traj.settled_at
-            assert traj.z_norm[-1] <= PP_CFG.settle_tol
+            assert traj.z_norm[-1] <= settle_tol
 
     def test_stiff_finish_on_smooth_minimum(self):
         # the Rosenbrock minimum is stiff for the explicit pair; the run
@@ -326,7 +335,7 @@ class TestIntegrateFlow:
     )
     def test_gradient_calls_are_pinned(self, name, grad_calls, monkeypatch):
         # every gradient evaluation of the explicit steps, the checks of
-        # ||z||, the settling bisection and the implicit finish
+        # ||z|| and the implicit finish
         cfg = preset(name)
         objective = cfg.objective()
         calls = [0]
@@ -363,10 +372,14 @@ class TestIntegrateFlow:
         assert traj.z_norm[k] < 1e-3 and np.all(traj.z_norm[:k] >= 1e-3)
         assert traj.terminated_reason == "settled"
         assert traj.z_norm[-1] <= PP_CFG.settle_tol
-        # the same run with alpha = 0 stays on the explicit pair
+        # the same run with alpha = 0 stays on the explicit pair until the step
+        # that would reach settle_tol, and hands off from the state before it
         handoffs.clear()
         traj = integrate(state, dissipative(0.0), p_power(2.0), PP_CFG)
-        assert handoffs == []
+        k = handoff_sample(traj, handoffs)
+        assert traj.z_norm[k] > PP_CFG.settle_tol
+        # the dropped step, capped at record_stride, would have crossed
+        assert traj.settled_at - traj.times[k] < PP_CFG.record_stride
         assert traj.terminated_reason == "settled"
         assert traj.z_norm[-1] <= PP_CFG.settle_tol
 
@@ -471,6 +484,27 @@ class TestIntegrateFlow:
         assert (traj.terminated_reason, traj.settled_at) == ("step_budget", None)
         assert attempts == {"explicit": 594, "finish": 406}
         assert np.all(np.diff(traj.times) > 0) and traj.times[-1] < 0.25
+
+    def test_step_budget_spent_on_the_settling_step(self, monkeypatch):
+        # the explicit step that would settle is the budget's last attempt:
+        # the finish takes no step, and the run ends on its last accepted state
+        attempts = Counter()
+
+        def counting_step(*args, step=integrate_module.dopri5_step):
+            attempts["explicit"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(integrate_module, "dopri5_step", counting_step)
+        full = ppower_traj(0.0)
+        assert full.terminated_reason == "settled"
+        budget = attempts.pop("explicit")
+        monkeypatch.setattr(integrate_module, "MAX_STEPS", budget)
+        traj = ppower_traj(0.0)
+        assert (traj.terminated_reason, traj.settled_at) == ("step_budget", None)
+        # the start and every attempt but the dropped one, each accepted
+        assert len(traj) == attempts["explicit"] == budget == 2_076
+        assert_same_bits(traj.times, full.times[: len(traj)])
+        assert traj.z_norm[-1] > PP_CFG.settle_tol
 
     def test_start_at_equilibrium(self):
         state = FlowState(theta=np.array([1.0, 1.0]), v=np.zeros(2))
@@ -629,15 +663,16 @@ class TestFloatPath:
         ],
         ids=["n1", "n2", "n3"],
     )
-    def test_explicit_settle(self, objective, theta0):
+    def test_settle_in_the_finish(self, objective, theta0):
         # alpha = -0.8: the explicit steps hand off at ||z|| < 1e-3, and the finish settles
         state = FlowState(theta=np.array(theta0), v=np.zeros(len(theta0)))
         runs = float_and_numpy_runs(state, dissipative(-0.8), objective, PP_CFG)
         assert_same_runs(runs)
         assert runs[0][0].terminated_reason == "settled"
 
-    def test_bisection_settle(self):
-        # alpha = 0 stays on the explicit steps and settles by bisection
+    def test_alpha_zero_settle(self):
+        # alpha = 0 stays on the explicit steps until the step that would reach
+        # settle_tol, and settles in the finish
         state = FlowState(theta=np.array([1.0, 0.0]), v=np.zeros(2))
         runs = float_and_numpy_runs(state, dissipative(0.0), p_power(2.0), PP_CFG)
         assert_same_runs(runs)
