@@ -13,13 +13,19 @@ from off-axis starts (seeded uniform draws in [-1, 1]), whose states of 8 or
 more components take the step's array form.  `ppower-alpha0/` holds
 `ftflow run --objective ppower --p 2 --alpha 0`, the unscaled flow: every
 other run here has alpha < 0 or never settles, so it is the one run whose
-step to settle_tol hands off to the finish.  Run it on two
-checkouts and compare the outputs with `diff -r`; each run imports ftflow
-from the `src/` of the checkout the script sits in, whatever PYTHONPATH
-says.  Exits with the first non-zero CLI exit code, else 0.
+step to settle_tol hands off to the finish.  `presets/` holds each named
+preset's config as `presets/<name>.json`, and `certify-*/` the
+`certify.json` of four `ftflow certify` runs, whose Schur reports go
+through `estimate_smoothness` and `select_epsilon_sigma`: p-power p = 3 and
+Rosenbrock (W matrix), and two quadratics, one with beta = 1 (W and W1) and
+one with gamma = 1 (W and W2).  Run it on two checkouts and compare the
+outputs with `diff -r`; each run imports ftflow from the `src/` of the
+checkout the script sits in, whatever PYTHONPATH says.  Exits with the
+first non-zero CLI exit code, else 0.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -28,11 +34,18 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from ftflow.cli import main as cli  # noqa: E402
+from ftflow.experiments import PRESET_NAMES, preset  # noqa: E402
 from reproduce_figures import reproduce  # noqa: E402
 from workloads import MEMBERS, write_configs  # noqa: E402
 
 SWEEP_SEED = 1
 LARGE_DIMS = (4, 50)
+CERTIFY = {
+    "certify-ppower": ["--objective", "ppower", "--p", "3", "--alpha", "-0.8"],
+    "certify-rosenbrock": ["--objective", "rosenbrock"],
+    "certify-quadratic-beta1": ["--objective", "quadratic", "--beta", "1", "--gamma", "0.5"],
+    "certify-quadratic-gamma1": ["--objective", "quadratic", "--beta", "0.5", "--gamma", "1"],
+}
 
 
 def main() -> int:
@@ -56,7 +69,15 @@ def main() -> int:
         "run", "--objective", "ppower", "--p", "2", "--alpha", "0",
         "--output-dir", str(Path(args.outdir) / "ppower-alpha0"),
     ])
-    return code or rc
+    code = code or rc
+    presets = Path(args.outdir) / "presets"
+    presets.mkdir(parents=True, exist_ok=True)
+    for name in PRESET_NAMES:
+        (presets / f"{name}.json").write_text(json.dumps(preset(name).to_dict(), indent=2))
+    for name, flags in CERTIFY.items():
+        rc = cli(["certify", *flags, "--output-dir", str(Path(args.outdir) / name)])
+        code = code or rc
+    return code
 
 
 if __name__ == "__main__":

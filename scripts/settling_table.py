@@ -8,13 +8,13 @@ Exits 1 when a member failed; its error goes to stderr.
 
 import sys
 
-from ftflow.experiments import preset, sweep
+from ftflow.experiments import FIGURES, preset, sweep
 
 
 def main() -> int:
     print(f"{'label':<24} {'settled_at':>12} {'cert c':>10} {'cert a':>8} {'t_bound':>10}")
     code = 0
-    for _, summary in sweep(*(preset(name) for name in ("fig1-left", "fig1-right", "fig2"))):
+    for _, summary in sweep(*(preset(name) for names in FIGURES.values() for name in names)):
         settled = f"{summary.settled_at:.6f}" if summary.settled_at is not None else "-"
         if summary.certificate is not None:
             c = f"{summary.certificate.c:.4f}"

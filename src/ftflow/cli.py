@@ -34,6 +34,7 @@ from .certificates import (
     verify_power_bound,
 )
 from .experiments import (
+    FIGURES,
     FLOW_DEFAULTS,
     PRESET_NAMES,
     ExperimentConfig,
@@ -116,7 +117,7 @@ def _build_parser() -> _Parser:
     lem.add_argument("--grid", type=int, default=200)
 
     rep = sub.add_parser("repro", help="reproduction sweeps")
-    rep.add_argument("figure", choices=["fig1", "fig2"])
+    rep.add_argument("figure", choices=list(FIGURES))
     rep.add_argument("--output-dir", type=Path, default=Path("out"))
 
     return parser
@@ -240,6 +241,8 @@ def _cmd_certify(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if not 1 <= args.samples <= 100_000:
         raise ExperimentError(f"--samples must lie in [1, 100000], got {args.samples}")
+    if args.seed < 0:
+        raise ExperimentError(f"--seed must be non-negative, got {args.seed}")
     objective = _objective_from_args(args)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -289,7 +292,7 @@ def _cmd_verify_lemma1(args) -> int:
 
 
 def _cmd_repro(args) -> int:
-    names = {"fig1": ("fig1-left", "fig1-right"), "fig2": ("fig2",)}[args.figure]
+    names = FIGURES[args.figure]
     cfgs = [preset(name) for name in names]
     pairs = sweep(*cfgs)  # one pool for the members of every preset
     rest = iter(pairs)

@@ -2,10 +2,10 @@
 
 Configs are plain dataclasses (JSON-serializable with a schema version).
 Presets named after the reproduction studies ("fig1-left", "fig1-right",
-"fig2") fix their own initial conditions, documented here as artifact
-choices: theta0 = (-1.5, 2.0) on Rosenbrock and theta0 = e1 for the
-p-power family, v0 = 0 everywhere.  Only qualitative orderings are
-claimed, not curve-level reproduction.
+"fig2") are config-file dicts, parsed as a config file is, that fix their
+own initial conditions as artifact choices: theta0 = (-1.5, 2.0) on
+Rosenbrock and theta0 = e1 for the p-power family, v0 = 0 everywhere.
+Only qualitative orderings are claimed, not curve-level reproduction.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .certificates import (
     check_admissibility,
     fit_certificate,
 )
-from .flow import FlowParams, FlowState, conservative_params
+from .flow import FlowParams, FlowState
 from .integrate import IntegratorConfig, Trajectory, integrate
 from .objectives import (
     DominanceEstimate,
@@ -382,84 +382,72 @@ def write_summary(summary: RunSummary, path) -> None:
 # ---------------------------------------------------------------------------
 # Reproduction presets
 
+_FIG1 = {
+    "objective": {"name": "rosenbrock"},
+    "theta0": [-1.5, 2.0],
+    "flow": {"alpha": -0.5, "beta": 0.5, "gamma": 0.5, "kappa": 1.0},
+    "integrator": {"record_stride": 0.02},
+}
 
-def _fig1_base(**kw) -> ExperimentConfig:
-    return ExperimentConfig(
-        objective_name="rosenbrock",
-        theta0=(-1.5, 2.0),
-        flow=FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0),
-        integrator=IntegratorConfig(
-            rel_tol=1e-8, abs_tol=1e-12, t_max=50.0, settle_tol=1e-9, record_stride=0.02
-        ),
-        **kw,
-    )
+# the three sweeps and the conservative run as config files write them
+_PRESETS = (
+    {
+        **_FIG1,
+        "label": "fig1-left",
+        "sweep": [
+            {"alpha": -0.25, "label": "fig1-left-a025"},
+            {"alpha": -0.5, "label": "fig1-left-a05"},
+            {"alpha": -0.75, "label": "fig1-left-a075"},
+        ],
+    },
+    {
+        **_FIG1,
+        "label": "fig1-right",
+        "sweep": [
+            {"beta": 1.0, "gamma": 0.5, "label": "fig1-right-heavyball"},
+            {"beta": 0.5, "gamma": 1.0, "label": "fig1-right-pi"},
+            {"beta": 0.5, "gamma": 0.5, "label": "fig1-right-interior"},
+        ],
+    },
+    {
+        "label": "fig2",
+        "objective": {"name": "ppower", "params": {"p": 2.0, "dim": 2}},
+        "theta0": [1.0, 0.0],
+        "flow": {"alpha": -0.8, "beta": 0.5, "gamma": 0.5, "kappa": 1.0},
+        "integrator": {"rel_tol": 1e-10, "abs_tol": 1e-13, "record_stride": 0.02},
+        "sweep": [
+            {"objective_params": {"p": 1.5}, "label": "fig2-p1.5"},
+            {"objective_params": {"p": 2.0}, "label": "fig2-p2"},
+            {"objective_params": {"p": 3.0}, "label": "fig2-p3"},
+        ],
+    },
+    {
+        "label": "conservative",
+        "objective": {"name": "quadratic", "params": {"diag": [1.0, 1.0]}},
+        "theta0": [1.0, 0.0],
+        "flow": {"alpha": 0.0, "beta": 1.0, "gamma": 1.0, "kappa": 1.0},
+        "integrator": {"rel_tol": 1e-10, "abs_tol": 1e-13},
+    },
+)
+
+# the sweeps that `ftflow repro` runs for each figure
+FIGURES = {"fig1": ("fig1-left", "fig1-right"), "fig2": ("fig2",)}
 
 
-def _fig2_base(p: float, **kw) -> ExperimentConfig:
-    return ExperimentConfig(
-        objective_name="ppower",
-        objective_params={"p": p, "dim": 2},
-        theta0=(1.0, 0.0),
-        flow=FlowParams(alpha=-0.8, beta=0.5, gamma=0.5, kappa=1.0),
-        integrator=IntegratorConfig(
-            rel_tol=1e-10, abs_tol=1e-13, t_max=50.0, settle_tol=1e-9, record_stride=0.02
-        ),
-        **kw,
-    )
-
-
-def _presets() -> dict[str, ExperimentConfig]:
-    """Every named preset: the three sweeps, each of their members, and
-    the conservative run."""
-    sweeps = (
-        _fig1_base(
-            label="fig1-left",
-            sweep=tuple(
-                {"alpha": a, "label": f"fig1-left-a{str(abs(a)).replace('0.', '0')}"}
-                for a in (-0.25, -0.5, -0.75)
-            ),
-        ),
-        _fig1_base(
-            label="fig1-right",
-            sweep=(
-                {"beta": 1.0, "gamma": 0.5, "label": "fig1-right-heavyball"},
-                {"beta": 0.5, "gamma": 1.0, "label": "fig1-right-pi"},
-                {"beta": 0.5, "gamma": 0.5, "label": "fig1-right-interior"},
-            ),
-        ),
-        _fig2_base(
-            p=2.0,
-            label="fig2",
-            sweep=tuple(
-                {"objective_params": {"p": p}, "label": f"fig2-p{p:g}"}
-                for p in (1.5, 2.0, 3.0)
-            ),
-        ),
-    )
-    named = {}
-    for cfg in sweeps:
-        named[cfg.label] = cfg
-        named.update((member.label, member) for member in expand(cfg))
-    named["conservative"] = ExperimentConfig(
-        objective_name="quadratic",
-        objective_params={"diag": [1.0, 1.0]},
-        theta0=(1.0, 0.0),
-        flow=conservative_params(alpha=0.0, kappa=1.0),
-        integrator=IntegratorConfig(
-            rel_tol=1e-10, abs_tol=1e-13, t_max=50.0, settle_tol=1e-9, record_stride=0.05
-        ),
-        label="conservative",
-    )
-    return named
+def _parsed():
+    """Every preset in table order, each parsed from its JSON text: an entry, then its members."""
+    for d in _PRESETS:
+        cfg = config_from_dict(json.loads(json.dumps(d)))
+        yield cfg
+        yield from expand(cfg) if cfg.sweep else ()
 
 
 def preset(name: str) -> ExperimentConfig:
-    """Look up a named reproduction preset: a sweep, one of its members,
-    or the conservative run."""
-    try:
-        return _presets()[name.lower()]
-    except KeyError:
-        raise ExperimentError(f"unknown preset {name!r}") from None
+    """A named reproduction preset: a sweep, one of its members, or the conservative run."""
+    for cfg in _parsed():
+        if cfg.label == name.lower():
+            return cfg
+    raise ExperimentError(f"unknown preset {name!r}")
 
 
-PRESET_NAMES = tuple(_presets())
+PRESET_NAMES = tuple(cfg.label for cfg in _parsed())

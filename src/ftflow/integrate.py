@@ -15,11 +15,8 @@ floats with the field's float form (`flow.flow_field`) below FLOAT_STATE_BELOW
 = 8 components (n <= 3, all of the paper's experiments), else `[array]` with
 `field`, each comprehension of the step then running once, vectorized, bit
 for bit as on floats.  Summation order fixes the bound, not speed: numpy sums
-fewer than 8 terms left to right, as the float error norm does.  An array
-step (p-power, best of 7 x 3,000, 2-vCPU VM) took 95-101 us at n = 4 and
-86-127 us at n = 50 (a numpy column tableau: 84-94 and 91-132 us).  The
-finish, which calls `field` once per collocation stage, takes the state as
-an array.
+fewer than 8 terms left to right, as the float error norm does.  The finish,
+which calls `field` once per collocation stage, takes the state as an array.
 
 Patch MAX_STEPS or FLOAT_STATE_BELOW on importlib.import_module("ftflow.integrate"):
 `ftflow/__init__.py` binds the function `integrate` over this module, so setting

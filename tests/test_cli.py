@@ -488,6 +488,14 @@ class TestGradcheckAndLemma:
         assert f"error: --samples must lie in [1, 100000], got {samples}\n" in err
         assert not list(tmp_path.iterdir())
 
+    def test_gradcheck_refuses_a_negative_seed(self, tmp_path, capsys):
+        argv = ["gradcheck", "--objective", "rosenbrock", "--samples", "1", "--seed", "-1"]
+        assert invoke([*argv, "--output-dir", str(tmp_path)]) == 2
+        assert "error: --seed must be non-negative, got -1\n" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        argv[-1] = str(10**400)  # 401 digits: any non-negative int seeds the draws
+        assert invoke([*argv, "--output-dir", str(tmp_path)]) == 0
+
     def test_verify_lemma1_pass(self, capsys):
         code = invoke(["verify-lemma1", "--a", "2", "--delta", "1"])
         out = capsys.readouterr().out

@@ -347,3 +347,14 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ExperimentError):
             preset("fig3")
+
+    def test_lookup_returns_its_own_copy(self):
+        preset("fig1-left").sweep[0]["alpha"] = -0.9
+        preset("fig2").sweep[0]["objective_params"]["p"] = 9.0
+        preset("fig2-p2").objective_params["p"] = 9.0
+        assert preset("fig1-left-a025").flow.alpha == -0.25
+        assert [m.objective_params["p"] for m in expand(preset("fig2"))] == [1.5, 2.0, 3.0]
+        members = (preset(f"fig2-p{p}") for p in ("1.5", "2", "3"))
+        assert [m.objective_params["p"] for m in members] == [1.5, 2.0, 3.0]
+        for name in PRESET_NAMES:
+            assert config_from_dict(preset(name).to_dict()) == preset(name)
