@@ -13,7 +13,9 @@ from off-axis starts (seeded uniform draws in [-1, 1]), whose states of 8 or
 more components take the step's array form.  `ppower-alpha0/` holds
 `ftflow run --objective ppower --p 2 --alpha 0`, the unscaled flow: every
 other run here has alpha < 0 or never settles, so it is the one run whose
-step to settle_tol hands off to the finish.  `presets/` holds each named
+step to settle_tol hands off to the finish.  `sweep-fig2/` holds `ftflow
+sweep --preset fig2`, the `sweep` spelling of `run`, whose artifacts match
+`repro fig2`'s.  `presets/` holds each named
 preset's config as `presets/<name>.json`, and `certify-*/` the
 `certify.json` of four `ftflow certify` runs, whose Schur reports go
 through `estimate_smoothness` and `select_epsilon_sigma`: p-power p = 3 and
@@ -69,6 +71,8 @@ def main() -> int:
         "run", "--objective", "ppower", "--p", "2", "--alpha", "0",
         "--output-dir", str(Path(args.outdir) / "ppower-alpha0"),
     ])
+    code = code or rc
+    rc = cli(["sweep", "--preset", "fig2", "--output-dir", str(Path(args.outdir) / "sweep-fig2")])
     code = code or rc
     presets = Path(args.outdir) / "presets"
     presets.mkdir(parents=True, exist_ok=True)

@@ -1,19 +1,19 @@
-"""Command-line front end: run / sweep / certify / gradcheck / verify-lemma1 / repro.
+"""Command-line front end: run (alias sweep) / certify / gradcheck / verify-lemma1 / repro.
 
 Flag names mirror the math symbols (--alpha, --beta, --gamma, --kappa,
 --p) so configurations can be cross-read directly.  Exit codes: 0
 success, 1 usage error, 2 configuration error, 3 runtime or numerical
 failure, a failed `gradcheck` (GradientCheckError) included.
 
-`run` and `sweep` take one source (--config, --preset or --objective),
-write the flags given over it and parse the result once, so an unknown key
-in any section is a configuration error.  `run` refuses a sweep; `sweep`
-refuses a flag naming a key its members set (--alpha on fig1-left).
+`run` (alias `sweep`) runs a config, or each member of a sweep, from one
+source (--config, --preset or --objective) with the flags given written
+over it, parsed once: an unknown key in any section is a configuration
+error, and so is a flag naming a key the members set (--alpha on fig1-left).
 
-`sweep` and `repro` run their members in worker processes, one per usable
-CPU; this process writes every artifact in member order.  A failing member
-stops no other: its summary (no CSV) and `<label>.sweep.json` carry the
-error, and the exit code is that of the first failing member's error.
+`run` and `repro` write every artifact through one function: each member's
+CSV (none if it failed) and summary in member order, then `<label>.sweep.json`
+for a sweep.  Members run in worker processes, one per usable CPU.  A failing
+member stops no other, and the exit code is that of the first one's error.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .experiments import (
     export_trajectory,
     flow_from_dict,
     preset,
-    run as run_experiment,
     sweep,
     write_summary,
 )
@@ -56,6 +55,8 @@ from .objectives import ObjectiveError, estimate_smoothness, fd_gradient, make_o
 USAGE_EXIT = 1
 CONFIG_EXIT = 2
 RUNTIME_EXIT = 3
+# the largest relative gradient error `gradcheck` passes
+GRADCHECK_TOL = 1e-5
 
 
 class GradientCheckError(RuntimeError):
@@ -97,8 +98,7 @@ def _build_parser() -> _Parser:
             "--output-dir", type=Path, default=Path("out"), help="artifact directory"
         )
 
-    add_run_flags(sub.add_parser("run", help="integrate one configuration"))
-    add_run_flags(sub.add_parser("sweep", help="run a parameter sweep"))
+    add_run_flags(sub.add_parser("run", aliases=["sweep"], help="integrate a config or sweep"))
 
     cert = sub.add_parser("certify", help="admissibility + Schur reports")
     add_objective_flags(cert, cert)
@@ -161,53 +161,41 @@ def _config_from_args(args) -> ExperimentConfig:
     return config_from_dict(d)
 
 
-def _export_run(traj, summary, outdir: Path):
+def _run_and_write(cfgs, outdir: Path) -> int:
+    """Run every member of `cfgs` in one `sweep`; write each member's CSV (if
+    it ran) and summary in member order, then `<label>.sweep.json` for each
+    config with a sweep, and print one line per config.  The first failing
+    member's error is re-raised, so that `main` maps it to its exit code."""
+    pairs = iter(sweep(*cfgs))  # one pool for the members of every config
     outdir.mkdir(parents=True, exist_ok=True)
-    if traj is not None:
-        export_trajectory(traj, outdir / f"{summary.label}.csv")
-    write_summary(summary, outdir / f"{summary.label}.summary.json")
-
-
-def _export_sweep(label: str, pairs, outdir: Path):
-    """Write each member's artifacts, then `<label>.sweep.json`."""
-    summaries = []
-    for traj, summary in pairs:
-        _export_run(traj, summary, outdir)
-        summaries.append(summary)
-    combined = outdir / f"{label}.sweep.json"
-    combined.write_text(json.dumps([s.to_dict() for s in summaries], indent=2) + "\n")
-    return summaries, combined
-
-
-def _raise_member_error(summaries) -> None:
-    # re-raised so that `main` maps it to the exit code of its class
-    for summary in summaries:
-        if summary.exception is not None:
-            raise summary.exception
+    errors = []
+    for cfg in cfgs:
+        summaries = []
+        for traj, summary in islice(pairs, len(cfg.sweep) or 1):
+            if traj is not None:
+                export_trajectory(traj, outdir / f"{summary.label}.csv")
+            write_summary(summary, outdir / f"{summary.label}.summary.json")
+            summaries.append(summary)
+        if cfg.sweep:
+            combined = json.dumps([s.to_dict() for s in summaries], indent=2)
+            (outdir / f"{cfg.label}.sweep.json").write_text(combined + "\n")
+        times = ", ".join(
+            f"{s.label}: {s.settled_at:.4g}" if s.settled_at is not None else f"{s.label}: -"
+            for s in summaries
+        )
+        settled = sum(s.settled_at is not None for s in summaries)
+        print(
+            f"{cfg.label}: {len(summaries)} members, {settled} settled, "
+            f"settling times {{{times}}} -> {outdir}"
+        )
+        errors += [s.exception for s in summaries if s.exception is not None]
+    if errors:
+        raise errors[0]
+    return 0
 
 
 def _cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    if cfg.sweep:
-        raise ExperimentError(f"{cfg.label!r} is a sweep; run it with `ftflow sweep`")
-    traj, summary = run_experiment(cfg)
-    _export_run(traj, summary, args.output_dir)
-    settled = f"settled_at={summary.settled_at:.6g}" if summary.settled_at is not None else "no settling"
-    gap = f"{summary.final_f_gap:.3e}" if summary.final_f_gap is not None else "-"
-    print(
-        f"run {summary.label}: {settled}, final f-gap {gap} "
-        f"-> {args.output_dir}/{summary.label}.csv"
-    )
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _config_from_args(args)
-    summaries, combined = _export_sweep(cfg.label, sweep(cfg), args.output_dir)
-    settled = sum(1 for s in summaries if s.settled_at is not None)
-    print(f"sweep {cfg.label}: {len(summaries)} members, {settled} settled -> {combined}")
-    _raise_member_error(summaries)
-    return 0
+    return _run_and_write([_config_from_args(args)], args.output_dir)
 
 
 def _cmd_certify(args) -> int:
@@ -253,7 +241,7 @@ def _cmd_gradcheck(args) -> int:
         g_an = objective.grad(theta)
         denom = max(float(np.linalg.norm(g_an)), 1e-12)
         worst = max(worst, float(np.linalg.norm(g_fd - g_an)) / denom)
-    ok = worst <= 1e-5
+    ok = worst <= GRADCHECK_TOL
     args.output_dir.mkdir(parents=True, exist_ok=True)
     out = args.output_dir / "gradcheck.json"
     out.write_text(
@@ -263,7 +251,7 @@ def _cmd_gradcheck(args) -> int:
                 "samples": args.samples,
                 "worst_relative_error": worst,
                 "pass": ok,
-                "tolerance": 1e-5,
+                "tolerance": GRADCHECK_TOL,
             },
             indent=2,
         )
@@ -271,7 +259,8 @@ def _cmd_gradcheck(args) -> int:
     )
     print(f"gradcheck {objective.name}: worst relative error {worst:.3e} ({'ok' if ok else 'FAIL'})")
     if not ok:
-        raise GradientCheckError(f"gradient check failed: worst relative error {worst:.3e} > 1e-5")
+        tol = np.format_float_scientific(GRADCHECK_TOL, trim="-", exp_digits=1)  # not "1e-05"
+        raise GradientCheckError(f"gradient check failed: worst relative error {worst:.3e} > {tol}")
     return 0
 
 
@@ -292,24 +281,12 @@ def _cmd_verify_lemma1(args) -> int:
 
 
 def _cmd_repro(args) -> int:
-    names = FIGURES[args.figure]
-    cfgs = [preset(name) for name in names]
-    pairs = sweep(*cfgs)  # one pool for the members of every preset
-    rest = iter(pairs)
-    for name, cfg in zip(names, cfgs):
-        summaries, _ = _export_sweep(cfg.label, islice(rest, len(cfg.sweep)), args.output_dir)
-        times = ", ".join(
-            f"{s.label}: {s.settled_at:.4g}" if s.settled_at is not None else f"{s.label}: -"
-            for s in summaries
-        )
-        print(f"repro {name}: settling times {{{times}}} -> {args.output_dir}")
-    _raise_member_error(summary for _, summary in pairs)
-    return 0
+    return _run_and_write([preset(name) for name in FIGURES[args.figure]], args.output_dir)
 
 
 _COMMANDS = {
     "run": _cmd_run,
-    "sweep": _cmd_sweep,
+    "sweep": _cmd_run,
     "certify": _cmd_certify,
     "gradcheck": _cmd_gradcheck,
     "verify-lemma1": _cmd_verify_lemma1,

@@ -304,8 +304,9 @@ def _run_member(member: ExperimentConfig) -> tuple[Optional[Trajectory], RunSumm
 
 
 def sweep(*configs: ExperimentConfig) -> list[tuple[Optional[Trajectory], RunSummary]]:
-    """Run every sweep member of `configs`; (trajectory or None, summary)
-    pairs come back in member order.
+    """Run every member of `configs`, a config without sweep overrides being
+    its own one member; (trajectory or None, summary) pairs come back in
+    member order.
 
     A repeated member label is refused before any member runs.  A failing
     member contributes no trajectory and a summary carrying its error
@@ -314,21 +315,22 @@ def sweep(*configs: ExperimentConfig) -> list[tuple[Optional[Trajectory], RunSum
     worker, or where the platform cannot fork, they run in this process.
     Each member's result is the same either way.
     """
-    # imported here so that a plain `run` does not pay for them
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    members = [m for cfg in configs for m in expand(cfg)]
+    members = [m for cfg in configs for m in (expand(cfg) if cfg.sweep else [cfg])]
     for i, m in enumerate(members):  # a label names a member's files: a repeat overwrites them
         if m.label in (other.label for other in members[:i]):
             raise ExperimentError(f"sweep member label {m.label!r} is used more than once")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(members), cpus or 1)
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_run_member(m) for m in members]
-    # fork, not spawn: a spawned worker would import numpy and scipy again
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_run_member, members))
+    if workers >= 2:
+        # imported here so that a plain `run` does not pay for them
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # fork, not spawn: a spawned worker would import numpy and scipy again
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(_run_member, members))
+    return [_run_member(m) for m in members]
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class TestRun:
         code = invoke(["run", "--preset", "fig2-p2", "--output-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "settled_at" in out
+        assert "fig2-p2: 1 members, 1 settled, settling times {fig2-p2: 2.5}" in out
         csv = tmp_path / "fig2-p2.csv"
         assert csv.exists()
         assert csv.read_text().startswith("t,theta_0,theta_1,v_0,v_1,f,V,Vdot,znorm")
@@ -103,10 +103,14 @@ class TestRun:
         # alpha = -0.8 on f = |theta|^2 / 2 from |theta0| = r settles at 2.5 r^0.8
         assert summary["settled_at"] == pytest.approx(2.5 * 0.5**0.8, abs=1e-4)
 
-    def test_sweep_preset_is_refused(self, tmp_path, capsys):
-        assert invoke(["run", "--preset", "fig1-left", "--output-dir", str(tmp_path)]) == 2
-        assert "ftflow sweep" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+    def test_sweep_preset_runs_every_member(self, tmp_path, capsys):
+        assert invoke(["run", "--preset", "fig1-left", "--output-dir", str(tmp_path)]) == 0
+        assert "fig1-left: 3 members, 3 settled" in capsys.readouterr().out
+        labels = ["fig1-left-a025", "fig1-left-a05", "fig1-left-a075"]
+        combined = json.loads((tmp_path / "fig1-left.sweep.json").read_text())
+        assert [m["label"] for m in combined] == labels
+        written = [f"{label}{ext}" for label in labels for ext in (".csv", ".summary.json")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*written, "fig1-left.sweep.json"])
 
     def test_run_from_config_file(self, tmp_path, capsys):
         from ftflow.experiments import preset
@@ -250,7 +254,7 @@ class TestRun:
     def test_overflowing_start_reports_non_finite_in_standard_json(self, tmp_path, capsys):
         args = ["run", "--objective", "ppower", "--theta0", "1e200", "0"]
         assert invoke([*args, "--output-dir", str(tmp_path)]) == 0
-        assert "final f-gap -" in capsys.readouterr().out
+        assert "ppower: 1 members, 0 settled, settling times {ppower: -}" in capsys.readouterr().out
         summary = strict_json((tmp_path / "ppower.summary.json").read_text())
         assert summary["terminated_reason"] == "non_finite"
         assert summary["final_f_gap"] is None and summary["final_state_error"] is None
@@ -259,6 +263,16 @@ class TestRun:
         args = ["run", "--objective", "rosenbrock", "--theta0", "1e200", "0"]
         assert invoke([*args, "--output-dir", str(tmp_path)]) == 3
         assert "error: non-finite gradient at theta=" in capsys.readouterr().err
+
+    def test_failing_run_writes_its_error_summary(self, tmp_path, capsys):
+        args = ["run", "--objective", "rosenbrock", "--theta0", "1e200", "0"]
+        assert invoke([*args, "--output-dir", str(tmp_path)]) == 3
+        message = "non-finite gradient at theta=[1.e+200 0.e+000]"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rosenbrock.summary.json"]
+        summary = strict_json((tmp_path / "rosenbrock.summary.json").read_text())
+        assert summary["error"] == f"IntegrationError: {message}"
+        assert summary["terminated_reason"] == "error"
 
     @pytest.mark.parametrize("key", ["objective", "theta0", "flow"])
     @pytest.mark.parametrize("flags", [[], ["--alpha", "-0.3"]])
@@ -298,7 +312,8 @@ class TestRun:
         assert invoke(["run", "--config", str(cfg_path), "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: quadratic diag weights must be positive and finite, got [inf, 1.0]\n"
-        assert not out.exists()
+        # the run fails in its objective: its summary carries the error, no CSV is written
+        assert [p.name for p in out.iterdir()] == ["fig2-p2.summary.json"]
 
     def test_infinite_settle_tol_is_config_error(self, tmp_path, capsys):
         args = ["run", "--preset", "fig2-p2", "--settle-tol", "inf"]
@@ -324,6 +339,11 @@ class TestSweep:
         assert [m["label"] for m in combined] == ["fig2-p1.5", "fig2-p2", "fig2-p3"]
         for member in combined:
             assert (tmp_path / f"{member['label']}.csv").exists()
+
+    def test_plain_config_is_its_own_member(self, tmp_path, capsys):
+        assert invoke(["sweep", "--preset", "fig2-p2", "--output-dir", str(tmp_path)]) == 0
+        assert "fig2-p2: 1 members, 1 settled" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2-p2.csv", "fig2-p2.summary.json"]
 
     @pytest.mark.parametrize("name, flag", [("fig1-left", ["--alpha", "-0.3"]), ("fig2", ["--p", "3"])])
     def test_flag_on_a_member_override_is_refused(self, tmp_path, capsys, name, flag):
@@ -523,6 +543,25 @@ class TestRepro:
         assert code == 0
         assert "settling times" in out
         assert (tmp_path / "fig2.sweep.json").exists()
+
+    def test_run_sweep_and_repro_write_the_same_artifacts(self, tmp_path, capsys):
+        argvs = {
+            "run": ["run", "--preset", "fig2"],
+            "sweep": ["sweep", "--preset", "fig2"],
+            "repro": ["repro", "fig2"],
+        }
+        for name, argv in argvs.items():
+            assert invoke([*argv, "--output-dir", str(tmp_path / name)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("fig2: 3 members, 3 settled, settling times {fig2-p1.5: ") == 3
+        files = {name: sorted((tmp_path / name).iterdir()) for name in argvs}
+        labels = ["fig2-p1.5", "fig2-p2", "fig2-p3"]
+        expected = [f"{label}{ext}" for label in labels for ext in (".csv", ".summary.json")]
+        assert [p.name for p in files["run"]] == sorted([*expected, "fig2.sweep.json"])
+        for name in ("sweep", "repro"):
+            assert [p.name for p in files[name]] == [p.name for p in files["run"]]
+            for mine, ref in zip(files[name], files["run"]):
+                assert mine.read_bytes() == ref.read_bytes(), mine.name
 
     def test_repro_requires_known_figure(self, capsys):
         assert invoke(["repro", "fig9"]) == 1

@@ -173,6 +173,11 @@ class TestExpand:
         with pytest.raises(ExperimentError):
             expand(PPOWER_CFG)
 
+    def test_member_preset_is_refused(self):
+        # no CLI path reaches this refusal: `sweep` runs such a config as its own member
+        with pytest.raises(ExperimentError, match="^config has no sweep overrides$"):
+            expand(preset("fig2-p2"))
+
 
 class TestRun:
     def test_run_summary_and_certificate(self):
