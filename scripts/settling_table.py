@@ -3,10 +3,13 @@
 
 Usage: python3 scripts/settling_table.py
 
+The sweep's member CSVs go to a temporary directory, removed on exit.
 Exits 1 when a member failed; its error goes to stderr.
 """
 
 import sys
+import tempfile
+from pathlib import Path
 
 from ftflow.experiments import FIGURES, preset, sweep
 
@@ -14,7 +17,10 @@ from ftflow.experiments import FIGURES, preset, sweep
 def main() -> int:
     print(f"{'label':<24} {'settled_at':>12} {'cert c':>10} {'cert a':>8} {'t_bound':>10}")
     code = 0
-    for _, summary in sweep(*(preset(name) for names in FIGURES.values() for name in names)):
+    configs = [preset(name) for names in FIGURES.values() for name in names]
+    with tempfile.TemporaryDirectory() as tmp:
+        summaries = list(sweep(*configs, outdir=Path(tmp)))
+    for summary in summaries:
         settled = f"{summary.settled_at:.6f}" if summary.settled_at is not None else "-"
         if summary.certificate is not None:
             c = f"{summary.certificate.c:.4f}"

@@ -11,9 +11,9 @@ over it, parsed once: an unknown key in any section is a configuration
 error, and so is a flag naming a key the members set (--alpha on fig1-left).
 
 `run` and `repro` write every artifact through one function: each member's
-CSV (none if it failed) and summary in member order, then `<label>.sweep.json`
-for a sweep.  Members run in worker processes, one per usable CPU.  A failing
-member stops no other, and the exit code is that of the first one's error.
+CSV (none if it failed) in the worker process that ran it, and each summary
+here, in member order, then `<label>.sweep.json` for a sweep.  A failing
+member stops no other; the exit code is that of the first one's error.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .experiments import (
     check_shape,
     config_from_dict,
     dominance_evidence,
-    export_trajectory,
     flow_from_dict,
     preset,
     sweep,
@@ -162,18 +161,16 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def _run_and_write(cfgs, outdir: Path) -> int:
-    """Run every member of `cfgs` in one `sweep`; write each member's CSV (if
-    it ran) and summary in member order, then `<label>.sweep.json` for each
-    config with a sweep, and print one line per config.  The first failing
-    member's error is re-raised, so that `main` maps it to its exit code."""
-    pairs = iter(sweep(*cfgs))  # one pool for the members of every config
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Run every member of `cfgs` in one `sweep`, which writes each member's
+    CSV (if it ran) in the process that ran it; write each summary in member
+    order as it arrives, then `<label>.sweep.json` for each config with a
+    sweep, and print one line per config.  The first failing member's error
+    is re-raised, so that `main` maps it to its exit code."""
+    results = sweep(*cfgs, outdir=outdir)  # one pool for the members of every config
     errors = []
     for cfg in cfgs:
         summaries = []
-        for traj, summary in islice(pairs, len(cfg.sweep) or 1):
-            if traj is not None:
-                export_trajectory(traj, outdir / f"{summary.label}.csv")
+        for summary in islice(results, len(cfg.sweep) or 1):
             write_summary(summary, outdir / f"{summary.label}.summary.json")
             summaries.append(summary)
         if cfg.sweep:

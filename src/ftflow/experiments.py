@@ -14,9 +14,11 @@ import json
 import math
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .certificates import (
     fit_certificate,
 )
 from .flow import FlowParams, FlowState
-from .integrate import IntegratorConfig, Trajectory, integrate
+from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
 from .objectives import (
     DominanceEstimate,
     Objective,
@@ -284,13 +286,16 @@ def expand(config: ExperimentConfig) -> list[ExperimentConfig]:
     return members
 
 
-def _run_member(member: ExperimentConfig) -> tuple[Optional[Trajectory], RunSummary]:
-    """`run` one sweep member; a failure yields no trajectory and a summary
-    carrying the error.  Module-level so that worker processes can be sent it."""
+def _run_member(member: ExperimentConfig, outdir: Path) -> RunSummary:
+    """`run` one sweep member and write its CSV into `outdir`; a failure in
+    either yields a summary carrying the error.  Module-level so that worker
+    processes can be sent it."""
     try:
-        return run(member)
+        traj, summary = run(member)
+        export_trajectory(traj, outdir / f"{member.label}.csv")
+        return summary
     except Exception as exc:  # attach, don't abort the sweep
-        return None, RunSummary(
+        return RunSummary(
             label=member.label,
             settled_at=None,
             terminated_reason="error",
@@ -303,34 +308,45 @@ def _run_member(member: ExperimentConfig) -> tuple[Optional[Trajectory], RunSumm
         )
 
 
-def sweep(*configs: ExperimentConfig) -> list[tuple[Optional[Trajectory], RunSummary]]:
+def sweep(*configs: ExperimentConfig, outdir: Path) -> Iterator[RunSummary]:
     """Run every member of `configs`, a config without sweep overrides being
-    its own one member; (trajectory or None, summary) pairs come back in
-    member order.
+    its own one member, each writing its CSV into `outdir` in the process
+    that ran it; the summaries are yielded in member order, each as soon as
+    it and those before it are done.  Trajectories never leave that process.
 
-    A repeated member label is refused before any member runs.  A failing
-    member contributes no trajectory and a summary carrying its error
-    instead of aborting the sweep.  Members run in forked worker processes,
-    one per usable CPU but no more than there are members; with a single
-    worker, or where the platform cannot fork, they run in this process.
-    Each member's result is the same either way.
+    A repeated member label is refused before any member runs or `outdir` is
+    made.  A failing member writes no CSV and yields a summary carrying its
+    error instead of aborting the sweep.  Members run in forked worker
+    processes, one per usable CPU but no more than there are members; with a
+    single worker, or where the platform cannot fork, they run in this
+    process.  Each member's summary and CSV are the same either way.  A
+    worker that dies (killed or crashed) breaks the pool, losing every member
+    not yet done: an IntegrationError naming the first of them ends the sweep.
     """
     members = [m for cfg in configs for m in (expand(cfg) if cfg.sweep else [cfg])]
     for i, m in enumerate(members):  # a label names a member's files: a repeat overwrites them
         if m.label in (other.label for other in members[:i]):
             raise ExperimentError(f"sweep member label {m.label!r} is used more than once")
+    outdir.mkdir(parents=True, exist_ok=True)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(members), cpus or 1)
-    if workers >= 2:
-        # imported here so that a plain `run` does not pay for them
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
+    with ExitStack() as stack:
+        results = map(_run_member, members, repeat(outdir))
+        if workers >= 2:
+            # imported here so that a plain `run` does not pay for them
+            import multiprocessing
+            from concurrent.futures.process import ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            # fork, not spawn: a spawned worker would import numpy and scipy again
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                return list(pool.map(_run_member, members))
-    return [_run_member(m) for m in members]
+            if "fork" in multiprocessing.get_all_start_methods():
+                # fork, not spawn: a spawned worker would import numpy and scipy again
+                pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+                results = stack.enter_context(pool).map(_run_member, members, repeat(outdir))
+        for member in members:
+            try:
+                summary = next(results)
+            except Exception as exc:  # only a pool raises here: _run_member returns every error
+                raise IntegrationError(f"sweep member {member.label!r} was lost: {exc}") from exc
+            yield summary
 
 
 # ---------------------------------------------------------------------------

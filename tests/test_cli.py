@@ -1,9 +1,13 @@
 import json
+import multiprocessing
+import os
+import sys
+import time
 from dataclasses import replace
 
 import pytest
 
-from ftflow import cli
+from ftflow import cli, experiments
 from ftflow.cli import main
 from ftflow.experiments import preset
 
@@ -19,6 +23,25 @@ def strict_json(text):
         raise ValueError(f"non-standard JSON constant {name}")
 
     return json.loads(text, parse_constant=reject)
+
+
+def usable_cpus(monkeypatch, count):
+    """Make `sweep` see `count` usable CPUs: 1 runs its members in-process,
+    2 or more in a pool of forked workers, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+# paths of the `*.summary.json` files this process opens while a list is set;
+# an audit hook cannot be removed, so one stays installed for the life of the process
+SUMMARY_OPENS = {"paths": None}
+
+
+def _count_summary_opens(event, args):
+    if SUMMARY_OPENS["paths"] is not None and event == "open" and str(args[0]).endswith(".summary.json"):
+        SUMMARY_OPENS["paths"].append(str(args[0]))
+
+
+sys.addaudithook(_count_summary_opens)
 
 
 class TestUsageErrors:
@@ -409,6 +432,52 @@ class TestSweep:
         assert "sweep member label 'dup-0' is used more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no pool without fork")
+    def test_lost_worker_is_a_runtime_error_naming_its_member(self, tmp_path, capsys, monkeypatch):
+        # the worker running fig2-p2 dies once fig2-p1.5's result has arrived
+        usable_cpus(monkeypatch, 2)
+        parent, run = os.getpid(), experiments.run
+
+        def dying_run(member):
+            if member.label == "fig2-p2" and os.getpid() != parent:
+                deadline = time.monotonic() + 60
+                while not (tmp_path / "fig2-p1.5.summary.json").exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(1)
+            return run(member)
+
+        monkeypatch.setattr(experiments, "run", dying_run)
+        assert invoke(["run", "--preset", "fig2", "--output-dir", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: sweep member 'fig2-p2' was lost: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        # the finished member keeps its artifacts; the lost one has none, nor has the sweep
+        names = {p.name for p in tmp_path.iterdir()}
+        assert {"fig2-p1.5.csv", "fig2-p1.5.summary.json"} <= names
+        assert names <= {"fig2-p1.5.csv", "fig2-p1.5.summary.json", "fig2-p3.csv"}
+
+    def test_unwritable_csv_in_a_worker_is_config_error(self, tmp_path, capsys, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        (tmp_path / "fig2-p2.csv").mkdir()
+        assert invoke(["run", "--preset", "fig2", "--output-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path / 'fig2-p2.csv'}'\n"
+        assert "fig2: 3 members, 2 settled" in captured.out
+        # the other members' artifacts and the sweep's summary are written too
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [
+            "fig2-p1.5.csv",
+            "fig2-p1.5.summary.json",
+            "fig2-p2.csv",
+            "fig2-p2.summary.json",
+            "fig2-p3.csv",
+            "fig2-p3.summary.json",
+            "fig2.sweep.json",
+        ]
+        summary = strict_json((tmp_path / "fig2-p2.summary.json").read_text())
+        assert summary["error"].startswith("IsADirectoryError: [Errno 21] Is a directory: ")
+        assert summary["terminated_reason"] == "error"
+
 
 class TestCertify:
     def test_certified_configuration(self, tmp_path, capsys):
@@ -562,6 +631,26 @@ class TestRepro:
             assert [p.name for p in files[name]] == [p.name for p in files["run"]]
             for mine, ref in zip(files[name], files["run"]):
                 assert mine.read_bytes() == ref.read_bytes(), mine.name
+
+    def test_pooled_repro_fig1_matches_the_in_process_path(self, tmp_path, capsys, monkeypatch):
+        # the pool's workers write the CSVs; this process writes every summary
+        outdirs = {}
+        for cpus in (2, 1):
+            usable_cpus(monkeypatch, cpus)
+            outdirs[cpus] = tmp_path / f"cpus-{cpus}"
+            SUMMARY_OPENS["paths"] = []
+            try:
+                assert invoke(["repro", "fig1", "--output-dir", str(outdirs[cpus])]) == 0
+                opens = SUMMARY_OPENS["paths"]
+            finally:
+                SUMMARY_OPENS["paths"] = None
+            assert len(opens) == 6 and all(p.startswith(str(outdirs[cpus])) for p in opens)
+        capsys.readouterr()
+        pooled, in_process = (sorted(outdirs[cpus].iterdir()) for cpus in (2, 1))
+        assert [p.name for p in pooled] == [p.name for p in in_process]
+        assert len(pooled) == 14  # six CSVs, six summaries, two .sweep.json
+        for mine, ref in zip(pooled, in_process):
+            assert mine.read_bytes() == ref.read_bytes(), mine.name
 
     def test_repro_requires_known_figure(self, capsys):
         assert invoke(["repro", "fig9"]) == 1

@@ -1,9 +1,11 @@
+import ast
 import importlib
 import math
 import re
 from collections import Counter
 from dataclasses import replace
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +277,38 @@ class TestStackedStages:
         assert sum(row.sum() != sum(row.tolist()) for row in q * q) > 100
 
 
+# gradient evaluations of each preset's `integrate` call, the objective's
+# registration (one evaluation at the optimum) not counted
+GRAD_CALL_PINS = {
+    "fig2-p1.5": 7_274,  # the fig2 members hand off at ||z|| < 1e-3
+    "fig2-p3": 2_858,
+    "fig1-right-interior": 15_051,
+    "fig1-right-pi": 43_503,  # settles on the Radau finish's terminal event
+    "fig1-left-a025": 14_093,
+    "fig1-left-a05": 15_051,  # fig1-right-interior's run under another label
+    "fig1-left-a075": 15_163,
+    "fig1-right-heavyball": 93_246,  # runs the Radau finish to the horizon
+    "fig2-p2": 5_403,
+    "conservative": 8_178,  # beta = gamma = 1, read through flow_from_dict
+}
+
+
+def test_fig1_pins_match_the_benchmark_baseline():
+    # perfbench hard-checks each fig1 member's gradient evaluations, the
+    # registration's included, against its FIG1_GRAD_BASELINE: a change that
+    # moves a fig1 pin fails here as well as there.  Read without importing
+    # the harness, which needs perfbench's own modules on the path.
+    harness = Path(__file__).resolve().parents[1] / "perfbench" / "harness.py"
+    (baseline,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(harness.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["FIG1_GRAD_BASELINE"]
+    ]
+    pins = {name: calls + 1 for name, calls in GRAD_CALL_PINS.items() if name.startswith("fig1-")}
+    assert baseline == pins
+
+
 class TestIntegrateFlow:
     def test_unscaled_linear_flow_matches_closed_form(self):
         # alpha = 0, beta = gamma = 0.5, kappa = 1 on f = ||theta||^2/2 is a
@@ -318,21 +352,7 @@ class TestIntegrateFlow:
         assert traj.terminated_reason == "settled"
         assert traj.settled_at == pytest.approx(8.167812, abs=1e-3)
 
-    @pytest.mark.parametrize(
-        "name, grad_calls",
-        [
-            ("fig2-p1.5", 7_274),  # the fig2 members hand off at ||z|| < 1e-3
-            ("fig2-p3", 2_858),
-            ("fig1-right-interior", 15_051),
-            ("fig1-right-pi", 43_503),  # settles on the Radau finish's terminal event
-            ("fig1-left-a025", 14_093),
-            ("fig1-left-a05", 15_051),  # fig1-right-interior's run under another label
-            ("fig1-left-a075", 15_163),
-            ("fig1-right-heavyball", 93_246),  # runs the Radau finish to the horizon
-            ("fig2-p2", 5_403),
-            ("conservative", 8_178),  # beta = gamma = 1, read through flow_from_dict
-        ],
-    )
+    @pytest.mark.parametrize("name, grad_calls", GRAD_CALL_PINS.items())
     def test_gradient_calls_are_pinned(self, name, grad_calls, monkeypatch):
         # every gradient evaluation of the explicit steps, the checks of
         # ||z|| and the implicit finish
