@@ -1,14 +1,20 @@
 """Adaptive Dormand-Prince 5(4) integration of the flow.
 
 With alpha < 0 the field is non-Lipschitz at the equilibrium and its
-Jacobian grows without bound as ||z|| -> 0, so the terminal collapse is
-stiff for the explicit pair.  Such a run hands the rest to Radau IIA
-(`_Radau`) at its first accepted state with ||z|| < 1e-3.  Any run also
-hands off earlier if the explicit pair stalls (the stagnation watch in
-`integrate`), and from the state before an explicit step that would reach
-settle_tol.  So a run settles (||z|| <= settle_tol) only in the finish,
-unless it starts settled: brentq places the crossing on the interpolant of
-the Radau step it falls in, and the run ends at a time on the settled side.
+Jacobian grows without bound as ||z|| -> 0, so the terminal collapse
+(||z|| < COLLAPSE_BELOW = 1e-3) can be stiff for the explicit pair.  There
+each accepted step estimates h*lambda from its last two stages
+(`_h_lambda`), and the run hands the rest to Radau IIA (`_Radau`) from the
+first state whose step reads more than STIFF_H_LAMBDA, or at once from a
+start in the collapse.  In the collapse the explicit steps cap their
+absolute tolerance so as to resolve the settle radius (`_collapse_atol`),
+and a finish from there keeps the cap of the state it starts from.
+Any run also hands off earlier if the explicit pair stalls (the stagnation
+watch in `integrate`), and from the state before an explicit step that
+would reach settle_tol.  So a run settles (||z|| <= settle_tol) only in the
+finish, unless it starts settled: brentq places the crossing on the
+interpolant of the Radau step it falls in, and the run ends at a time on the
+settled side.  `Trajectory.handoff` records which rule fired, when.
 
 One step, `dopri5_step`, takes the state as a list of components: 2n Python
 floats with the field's float form (`flow.flow_field`) below FLOAT_STATE_BELOW
@@ -48,6 +54,17 @@ FLOAT_STATE_BELOW = 8  # 2n below which the explicit step takes floats, not [arr
 INITIAL_STEP = 1e-4
 MIN_STEP = 1e-14
 MAX_STEPS = 5_000_000  # step attempts, explicit and finish, before a run ends as "step_budget"
+# ||z|| below which an alpha < 0 run is in its terminal collapse (the module doc)
+COLLAPSE_BELOW = 1e-3
+# h*lambda above which an accepted collapse step counts as stiff.  DOPRI5's
+# stability boundary on the negative real axis is about 3.3, and Hairer's
+# dopri5 tests h*lambda > 3.25; but where the controller parks at that
+# boundary (p-power draws at p >= 2.7) the estimate sits at 3.22-3.25 for
+# about 200 steps before it first exceeds 3.25
+STIFF_H_LAMBDA = 3.0
+# keeps the capped error scale positive where ||y - y_eq||^2 is 0: a state on
+# y_eq, or within 1e-154 of it, where the square underflows
+SCALE_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -74,6 +91,26 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be positive and finite")
 
 
+@dataclass(frozen=True)
+class Handoff:
+    """When and why a run handed its rest to the Radau finish.
+
+    `rule` is which rule fired (`integrate` states them):
+    - "stiff": an alpha < 0 run's accepted step below ||z|| = COLLAPSE_BELOW
+      had h*lambda > STIFF_H_LAMBDA;
+    - "start": an alpha < 0 run started below COLLAPSE_BELOW, with no step
+      to estimate stiffness from;
+    - "stagnation": ||z|| made no 30% decrease within 500 step attempts;
+    - "settle_step": the next explicit step would have reached settle_tol.
+    `t` and `z_norm` are the time and ||z|| of the state the finish starts
+    from, the last recorded explicit state.
+    """
+
+    t: float
+    z_norm: float
+    rule: str  # stiff | start | stagnation | settle_step
+
+
 @dataclass
 class Trajectory:
     """Recorded samples of one integration.
@@ -97,7 +134,8 @@ class Trajectory:
       and finish steps together.
     The last sample is the last accepted state.  A failure of the implicit
     finish (its step shrinking to nothing, or the LU of a Jacobian with NaN
-    or inf entries) raises IntegrationError.
+    or inf entries) raises IntegrationError.  `handoff` says when and why
+    the run went to the finish, None for a run that never did.
     """
 
     times: np.ndarray
@@ -110,6 +148,7 @@ class Trajectory:
     energy: Optional[np.ndarray]
     settled_at: Optional[float]
     terminated_reason: str  # settled | horizon | step_underflow | non_finite | step_budget
+    handoff: Optional[Handoff] = None
 
     def state_at(self, idx: int) -> FlowState:
         row = self.states[idx]
@@ -127,7 +166,16 @@ class Trajectory:
         return self.times.shape[0]
 
 
-def _error_norm(err, dev0: float, y1: np.ndarray, cfg, y_eq) -> tuple[float, float]:
+def _collapse_atol(cfg, dev: float) -> float:
+    """The absolute error tolerance of the alpha < 0 collapse at a squared
+    deviation dev = ||y - y_eq||^2: abs_tol capped at rel_tol ||y - y_eq||.
+    Below abs_tol / rel_tol from y_eq a fixed abs_tol is a growing share of
+    the state, and at p < 2 the settle radius tol^(1/(p-1)) lies far below it
+    (Hairer, Norsett & Wanner, Solving ODEs I, §II.4)."""
+    return min(cfg.abs_tol, max(cfg.rel_tol * math.sqrt(dev), SCALE_FLOOR))
+
+
+def _error_norm(err, dev0: float, y1: np.ndarray, cfg, y_eq, capped=False) -> tuple[float, float]:
     # Measuring error relative to the deviation from the equilibrium (the
     # origin when none is registered) lets the step control resolve the
     # approach to settling; a plain |y| scale would put a rel_tol * |theta*|
@@ -136,9 +184,12 @@ def _error_norm(err, dev0: float, y1: np.ndarray, cfg, y_eq) -> tuple[float, flo
     # over-resolved.  dev0 = ||y0 - y_eq||^2 holds until a step is accepted,
     # so the caller passes the returned ||y1 - y_eq||^2 back as the next dev0.
     # err is the array of an [array] step or the list of a float step.
+    # `capped` (the alpha < 0 collapse) takes the absolute part from
+    # `_collapse_atol`.
     d1 = y1 - y_eq
     dev1 = d1.dot(d1)
-    scale = cfg.abs_tol + cfg.rel_tol * math.sqrt(max(dev0, dev1))
+    dev = max(dev0, dev1)
+    scale = (_collapse_atol(cfg, dev) if capped else cfg.abs_tol) + cfg.rel_tol * math.sqrt(dev)
     if isinstance(err, list):
         # numpy sums fewer than 8 terms left to right, as this loop does
         total = 0.0
@@ -150,8 +201,23 @@ def _error_norm(err, dev0: float, y1: np.ndarray, cfg, y_eq) -> tuple[float, flo
     return math.sqrt((q * q).sum() / q.size), dev1
 
 
+def _h_lambda(h: float, y7: np.ndarray, y6: np.ndarray, k7: np.ndarray, k6: np.ndarray) -> float:
+    """h times the field's dominant Lipschitz estimate from the last two
+    stages of a DOPRI5 step, both at t + h: h ||k7 - k6|| / ||y7 - y6||
+    (Hairer & Wanner, Solving ODEs II, §IV.2); 0 where y7 == y6.  Takes
+    arrays on either form of the step, so the bits do not depend on it."""
+    dy = y7 - y6
+    den = dy.dot(dy)
+    if not den > 0.0:
+        return 0.0
+    dk = k7 - k6
+    return h * math.sqrt(dk.dot(dk) / den)
+
+
 def dopri5_step(f: Callable, y: list, h: float, k1: list):
-    """One trial step of the autonomous field f(y); returns (y_new, error_vector, k_last).
+    """One trial step of the autonomous field f(y); returns (y_new,
+    error_vector, k7, y6, k6): k7 = f(y_new) is the next step's k1, and the
+    stage-6 point y6 with k6 = f(y6) feeds `_h_lambda`.
 
     y, k1 and what f returns are lists of components: 2n Python floats, or
     `[array]` when 2n >= FLOAT_STATE_BELOW.  The tableau is written out stage
@@ -164,11 +230,12 @@ def dopri5_step(f: Callable, y: list, h: float, k1: list):
         x + h * (19372 / 6561 * a - 25360 / 2187 * b + 64448 / 6561 * c - 212 / 729 * d)
         for x, a, b, c, d in zip(y, k1, k2, k3, k4)
     ])
-    k6 = f([
+    y6 = [
         x + h * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c + 49 / 176 * d
                  - 5103 / 18656 * e)
         for x, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-    ])
+    ]
+    k6 = f(y6)
     y_new = [
         x + h * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d - 2187 / 6784 * e + 11 / 84 * g)
         for x, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
@@ -181,7 +248,7 @@ def dopri5_step(f: Callable, y: list, h: float, k1: list):
              + (11 / 84 - 187 / 2100) * g - 1 / 40 * k)
         for a, c, d, e, g, k in zip(k1, k3, k4, k5, k6, k7)
     ]
-    return y_new, err, k7
+    return y_new, err, k7, y6, k6
 
 
 # LAPACK getrf and getrs by dtype char, for the real (float64) and complex
@@ -484,6 +551,7 @@ def integrate(
 
     settled_at = None
     reason = "horizon"
+    handoff = None
     if z0 <= config.settle_tol:
         settled_at = 0.0
         reason = "settled"
@@ -502,16 +570,23 @@ def integrate(
 
         # The run hands the rest to an implicit solver in three cases.  (i)
         # With alpha < 0 the field is non-Lipschitz at the equilibrium: its
-        # Jacobian grows like ||z||^(alpha-1), so explicit steps would need
-        # O(1/||z||) work to finish the terminal collapse.  Such a run hands
-        # off at its first accepted state (the start included) with ||z|| <
-        # 1e-3.  (ii) Near a smooth minimum the controller sits at the
-        # stability boundary, where the stiff transverse mode is neutrally
-        # stable and its amplitude floors ||z||: the stagnation watch hands
-        # off when no 30% decrease of ||z|| happens within 500 step attempts
-        # in the late phase.  (iii) A step that would reach settle_tol is
-        # dropped, and the finish places the crossing from the state before.
-        handoff = False
+        # Jacobian grows like ||z||^(alpha-1) in the terminal collapse
+        # (||z|| < COLLAPSE_BELOW), so there explicit steps may be held at
+        # their stability boundary.  A collapse step is tested for that from
+        # its own stages, and an accepted one with h*lambda > STIFF_H_LAMBDA
+        # hands off ("stiff"); a start in the collapse, with no step to test,
+        # hands off at once ("start").  Collapse steps take the capped
+        # absolute tolerance of `_collapse_atol`, so that they resolve the
+        # settle radius, and a finish from the collapse starts with it.
+        # (ii) Near a smooth minimum the controller sits at the stability
+        # boundary, where the stiff transverse mode is neutrally stable and
+        # its amplitude floors ||z||: the stagnation watch hands off when no
+        # 30% decrease of ||z|| happens within 500 step attempts in the late
+        # phase.  (iii) A step that would reach settle_tol is dropped, and the
+        # finish places the crossing from the state before ("settle_step").
+        collapse = params.alpha < 0 and z0 < COLLAPSE_BELOW
+        stiff = collapse  # of the last accepted step; a start has none to test
+        rule = None  # the handoff rule that fired
         z_mark = z0
         attempts_mark = 0
         steps = 0  # step attempts made
@@ -519,19 +594,19 @@ def integrate(
             if steps >= MAX_STEPS:
                 reason = "step_budget"
                 break
-            if (
-                z_cur < 1e-3 and params.alpha < 0
-                or steps - attempts_mark >= 500 and z_cur < 1e-2 * z0
-            ):
-                handoff = True
+            if stiff:
+                rule = "stiff" if steps else "start"
+                break
+            if steps - attempts_mark >= 500 and z_cur < 1e-2 * z0:
+                rule = "stagnation"
                 break
             steps += 1
             h = min(h, config.record_stride, config.t_max - t)
             if h < MIN_STEP:
                 h = min(MIN_STEP, config.t_max - t)
-            y_new, err, k_last = dopri5_step(f, y, h, k1)
+            y_new, err, k_last, y6, k6 = dopri5_step(f, y, h, k1)
             ya_new = unpack(y_new)
-            en, dev_new = _error_norm(err if floats else err[0], dev, ya_new, config, y_eq)
+            en, dev_new = _error_norm(err if floats else err[0], dev, ya_new, config, y_eq, collapse)
             # grows an accepted step and shrinks one the error control
             # rejects (en > 1 keeps it below 0.9); NaN or inf en gives 0.2
             factor = min(5.0, max(0.2, 0.9 * (en + 1e-16) ** -0.2))
@@ -545,8 +620,12 @@ def integrate(
                 continue
             z_new, g2_new, v2_new = znorm_of(ya_new)
             if z_new <= config.settle_tol:
-                handoff = True
+                rule = "settle_step"
                 break
+            collapse = params.alpha < 0 and z_new < COLLAPSE_BELOW
+            stiff = collapse and (
+                _h_lambda(h, ya_new, unpack(y6), unpack(k_last), unpack(k6)) > STIFF_H_LAMBDA
+            )
             t, y, ya, k1, dev = t + h, y_new, ya_new, k_last, dev_new
             z_cur = z_new
             if z_new < 0.7 * z_mark:
@@ -555,7 +634,8 @@ def integrate(
             record(t, ya, z_new, g2_new, v2_new)
             h *= factor
 
-        if handoff:
+        if rule is not None:
+            handoff = Handoff(t, z_cur, rule)
             # Hand the remainder to scipy's Radau IIA (_Radau: its step
             # ported, bit-identical to stock Radau), stepped here until
             # ||z|| falls to settle_tol or t_max.  Solving in deviation
@@ -568,9 +648,10 @@ def integrate(
                 return znorm_of(w + y_eq)[0] - config.settle_tol
 
             w = ya - y_eq
-            solver = _Radau(
-                field_dev, t, w, float(config.t_max), rtol=config.rel_tol, atol=config.abs_tol
-            )
+            # a finish from the collapse takes the explicit steps' capped
+            # absolute tolerance at the state it starts from
+            atol = _collapse_atol(config, w.dot(w)) if collapse else config.abs_tol
+            solver = _Radau(field_dev, t, w, float(config.t_max), rtol=config.rel_tol, atol=atol)
             g = crossing(w)
             stride = config.record_stride / 4.0
             grid = _arange(t + stride, config.t_max, stride)
@@ -635,4 +716,5 @@ def integrate(
         energy=H if params.conservative else None,
         settled_at=settled_at,
         terminated_reason=reason,
+        handoff=handoff,
     )

@@ -115,12 +115,12 @@ class SmoothnessEstimate:
 # Built-in objectives
 
 
-def _square(x: float) -> float:
-    # x ** 2 by libm pow, as numpy squares a float64 scalar (x * x rounds
-    # differently); where a Python float power raises OverflowError, numpy's
-    # inf
+def _power(x: float, e: float) -> float:
+    # x ** e by libm pow, as numpy raises a float64 scalar to a power (so a
+    # square is not x * x, which rounds differently); where a Python float
+    # power raises OverflowError, numpy's inf
     try:
-        return x ** 2
+        return x ** e
     except OverflowError:
         return math.inf
 
@@ -134,11 +134,11 @@ def rosenbrock() -> Objective:
 
     def value(t):
         x, y = t.tolist()
-        return 100.0 * _square(y - _square(x)) + _square(1.0 - x)
+        return 100.0 * _power(y - _power(x, 2), 2) + _power(1.0 - x, 2)
 
     def gradient(t):
         x, y = t.tolist()
-        d = y - _square(x)
+        d = y - _power(x, 2)
         return np.array([-400.0 * x * d - 2.0 * (1.0 - x), 200.0 * d])
 
     def hessian(t):
@@ -172,16 +172,16 @@ def p_power(p: float = 2.0, dim: int = 2) -> Objective:
         raise ObjectiveError(f"dim must be an integer >= 1, got {dim}")
     dim = int(float(dim))
 
-    # ||t|| as np.linalg.norm takes it; np.sqrt keeps it a numpy scalar, so
-    # that a power of it overflows to inf instead of raising OverflowError
+    # ||t|| as np.linalg.norm takes it, and its power, on Python floats: the
+    # same IEEE operations and libm pow as on numpy scalars, at less cost
     def value(t):
-        return float(np.sqrt(t.dot(t)) ** p / p)
+        return _power(math.sqrt(t.dot(t)), p) / p
 
     def gradient(t):
-        r = np.sqrt(t.dot(t))
+        r = math.sqrt(t.dot(t))
         if r == 0.0:
             return np.zeros(dim)
-        return r ** (p - 2.0) * t
+        return _power(r, p - 2.0) * t
 
     def hessian(t):
         r = np.linalg.norm(t)

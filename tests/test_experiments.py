@@ -73,8 +73,8 @@ class TestConfig:
         (traj, summary), (traj_again, _) = run(cfg), run(again)
         assert traj.states.tobytes() == traj_again.states.tobytes()
         assert traj.states[0].tolist() == [1.0, 0.0, 0.0, 0.5]
-        assert summary.settled_at == 2.7334050270573003
-        assert len(traj.times) == 224
+        assert summary.settled_at == 2.7334050270550323
+        assert len(traj.times) == 485
 
     @pytest.mark.parametrize("key", ["initial_step", "min_step", "max_step", "singular_tol"])
     def test_removed_integrator_key_is_config_error(self, key):

@@ -61,6 +61,32 @@ class TestBuiltins:
             assert np.array_equal(np.isnan(got), np.isnan(expected))
             assert np.nan_to_num(got).tobytes() == np.nan_to_num(expected).tobytes(), t
 
+    def test_p_power_on_floats_as_on_numpy_scalars(self):
+        # ||t|| and its power on Python floats, as on numpy scalars, bit for
+        # bit: at r = 0 (also where ||t||^2 underflows), where a finite power
+        # overflows to inf (r ** p, and r ** (p - 2) at p = 6) and where
+        # ||t||^2 does
+        def value(t, p):
+            return float(np.sqrt(t.dot(t)) ** p / p)
+
+        def gradient(t, p):
+            r = np.sqrt(t.dot(t))
+            return np.zeros(t.size) if r == 0.0 else r ** (p - 2.0) * t
+
+        rng = np.random.default_rng(12)
+        scales = [0.0, 1e-320, 1e-200, 1e-3, 1.0, 1e3, 1e100, 1e160, 1e200]
+        objectives = {}
+        for _ in range(3000):
+            p = float(rng.choice([2.0, 3.0, 6.0, 1.0 + 1e-9, rng.uniform(1.0, 4.0)]))
+            n = int(rng.integers(1, 4))
+            obj = objectives.setdefault((p, n), p_power(p, n))
+            t = rng.normal(size=n) * rng.choice(scales)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = np.append(gradient(t, p), value(t, p))
+                got = np.append(obj.gradient(t), obj.value(t))
+            assert np.array_equal(np.isnan(got), np.isnan(expected))
+            assert np.nan_to_num(got).tobytes() == np.nan_to_num(expected).tobytes(), (p, t)
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_p_power_scaling(self, p):
         obj = p_power(p)
