@@ -11,12 +11,14 @@ them, and each one's `ftflow run --config` artifacts.  `ppower-dim4/` and
 `ppower-dim50/` hold `ftflow run --objective ppower --p 1.7` at dim 4 and 50
 from off-axis starts (seeded uniform draws in [-1, 1]), whose states of 8 or
 more components take the step's array form.  `ppower-alpha0/` holds
-`ftflow run --objective ppower --p 2 --alpha 0`, the unscaled flow: every
-other run here has alpha < 0 or never settles, so it is the one run whose
-step to settle_tol hands off to the finish.  `sweep-fig2/` holds `ftflow
-sweep --preset fig2`, the `sweep` spelling of `run`, whose artifacts match
-`repro fig2`'s.  `presets/` holds each named
-preset's config as `presets/<name>.json`, and `certify-*/` the
+`ftflow run --objective ppower --p 2 --alpha 0`, the unscaled flow on a
+smooth minimum, which stays explicit until the step that would settle.
+`ppower-p1.5-alpha0/` holds `ftflow run --preset fig2-p1.5 --alpha 0`, the
+unscaled flow on the p = 1.5 minimum, whose steps turn stiff in the
+terminal phase (||z|| < 1e-3) and hand off there.  `sweep-fig2/` holds
+`ftflow sweep --preset fig2`, the `sweep` spelling of `run`, whose
+artifacts match `repro fig2`'s.  `presets/` holds each named preset's
+config as `presets/<name>.json`, and `certify-*/` the
 `certify.json` of four `ftflow certify` runs, whose Schur reports go
 through `estimate_smoothness` and `select_epsilon_sigma`: p-power p = 3 and
 Rosenbrock (W matrix), and two quadratics, one with beta = 1 (W and W1) and
@@ -70,6 +72,11 @@ def main() -> int:
     rc = cli([
         "run", "--objective", "ppower", "--p", "2", "--alpha", "0",
         "--output-dir", str(Path(args.outdir) / "ppower-alpha0"),
+    ])
+    code = code or rc
+    rc = cli([
+        "run", "--preset", "fig2-p1.5", "--alpha", "0",
+        "--output-dir", str(Path(args.outdir) / "ppower-p1.5-alpha0"),
     ])
     code = code or rc
     rc = cli(["sweep", "--preset", "fig2", "--output-dir", str(Path(args.outdir) / "sweep-fig2")])

@@ -1,14 +1,14 @@
 """Adaptive Dormand-Prince 5(4) integration of the flow.
 
-With alpha < 0 the field is non-Lipschitz at the equilibrium and its
-Jacobian grows without bound as ||z|| -> 0, so the terminal collapse
-(||z|| < COLLAPSE_BELOW = 1e-3) can be stiff for the explicit pair.  There
-each accepted step estimates h*lambda from its last two stages
-(`_h_lambda`), and the run hands the rest to Radau IIA (`_Radau`) from the
-first state whose step reads more than STIFF_H_LAMBDA, or at once from a
-start in the collapse.  In the collapse the explicit steps cap their
+Near the equilibrium the field's Jacobian can grow without bound as
+||z|| -> 0 (with alpha < 0 through the scaling, at p < 2 through the
+Hessian), so the terminal phase (||z|| < COLLAPSE_BELOW = 1e-3, whatever
+alpha) can be stiff for the explicit pair.  There each accepted step
+estimates h*lambda from its last two stages (`_h_lambda`), and the run
+hands the rest to Radau IIA (`_Radau`) from the first state whose step
+reads more than STIFF_H_LAMBDA.  In that phase the explicit steps cap their
 absolute tolerance so as to resolve the settle radius (`_collapse_atol`),
-and a finish from there keeps the cap of the state it starts from.
+and every finish starts with the cap of the state it starts from.
 Any run also hands off earlier if the explicit pair stalls (the stagnation
 watch in `integrate`), and from the state before an explicit step that
 would reach settle_tol.  So a run settles (||z|| <= settle_tol) only in the
@@ -54,13 +54,13 @@ FLOAT_STATE_BELOW = 8  # 2n below which the explicit step takes floats, not [arr
 INITIAL_STEP = 1e-4
 MIN_STEP = 1e-14
 MAX_STEPS = 5_000_000  # step attempts, explicit and finish, before a run ends as "step_budget"
-# ||z|| below which an alpha < 0 run is in its terminal collapse (the module doc)
+# ||z|| below which a run is in its terminal phase (the module doc)
 COLLAPSE_BELOW = 1e-3
-# h*lambda above which an accepted collapse step counts as stiff.  DOPRI5's
-# stability boundary on the negative real axis is about 3.3, and Hairer's
-# dopri5 tests h*lambda > 3.25; but where the controller parks at that
-# boundary (p-power draws at p >= 2.7) the estimate sits at 3.22-3.25 for
-# about 200 steps before it first exceeds 3.25
+# h*lambda above which an accepted step of the terminal phase counts as
+# stiff.  DOPRI5's stability boundary on the negative real axis is about 3.3,
+# and Hairer's dopri5 tests h*lambda > 3.25; but where the controller parks
+# at that boundary (p-power draws at p >= 2.7) the estimate sits at
+# 3.22-3.25 for about 200 steps before it first exceeds 3.25
 STIFF_H_LAMBDA = 3.0
 # keeps the capped error scale positive where ||y - y_eq||^2 is 0: a state on
 # y_eq, or within 1e-154 of it, where the square underflows
@@ -96,10 +96,8 @@ class Handoff:
     """When and why a run handed its rest to the Radau finish.
 
     `rule` is which rule fired (`integrate` states them):
-    - "stiff": an alpha < 0 run's accepted step below ||z|| = COLLAPSE_BELOW
-      had h*lambda > STIFF_H_LAMBDA;
-    - "start": an alpha < 0 run started below COLLAPSE_BELOW, with no step
-      to estimate stiffness from;
+    - "stiff": an accepted step below ||z|| = COLLAPSE_BELOW had
+      h*lambda > STIFF_H_LAMBDA;
     - "stagnation": ||z|| made no 30% decrease within 500 step attempts;
     - "settle_step": the next explicit step would have reached settle_tol.
     `t` and `z_norm` are the time and ||z|| of the state the finish starts
@@ -108,7 +106,7 @@ class Handoff:
 
     t: float
     z_norm: float
-    rule: str  # stiff | start | stagnation | settle_step
+    rule: str  # stiff | stagnation | settle_step
 
 
 @dataclass
@@ -167,11 +165,12 @@ class Trajectory:
 
 
 def _collapse_atol(cfg, dev: float) -> float:
-    """The absolute error tolerance of the alpha < 0 collapse at a squared
-    deviation dev = ||y - y_eq||^2: abs_tol capped at rel_tol ||y - y_eq||.
-    Below abs_tol / rel_tol from y_eq a fixed abs_tol is a growing share of
-    the state, and at p < 2 the settle radius tol^(1/(p-1)) lies far below it
-    (Hairer, Norsett & Wanner, Solving ODEs I, §II.4)."""
+    """The absolute error tolerance of the terminal phase at a squared
+    deviation dev = ||y - y_eq||^2: abs_tol capped at rel_tol ||y - y_eq||,
+    so abs_tol itself at ||y - y_eq|| >= abs_tol / rel_tol.  Below that a
+    fixed abs_tol is a growing share of the state, and at p < 2 the settle
+    radius tol^(1/(p-1)) lies far below it (Hairer, Norsett & Wanner,
+    Solving ODEs I, §II.4)."""
     return min(cfg.abs_tol, max(cfg.rel_tol * math.sqrt(dev), SCALE_FLOOR))
 
 
@@ -184,7 +183,7 @@ def _error_norm(err, dev0: float, y1: np.ndarray, cfg, y_eq, capped=False) -> tu
     # over-resolved.  dev0 = ||y0 - y_eq||^2 holds until a step is accepted,
     # so the caller passes the returned ||y1 - y_eq||^2 back as the next dev0.
     # err is the array of an [array] step or the list of a float step.
-    # `capped` (the alpha < 0 collapse) takes the absolute part from
+    # `capped` (the terminal phase) takes the absolute part from
     # `_collapse_atol`.
     d1 = y1 - y_eq
     dev1 = d1.dot(d1)
@@ -569,23 +568,22 @@ def integrate(
         k1 = f(y)
 
         # The run hands the rest to an implicit solver in three cases.  (i)
-        # With alpha < 0 the field is non-Lipschitz at the equilibrium: its
-        # Jacobian grows like ||z||^(alpha-1) in the terminal collapse
-        # (||z|| < COLLAPSE_BELOW), so there explicit steps may be held at
-        # their stability boundary.  A collapse step is tested for that from
-        # its own stages, and an accepted one with h*lambda > STIFF_H_LAMBDA
-        # hands off ("stiff"); a start in the collapse, with no step to test,
-        # hands off at once ("start").  Collapse steps take the capped
-        # absolute tolerance of `_collapse_atol`, so that they resolve the
-        # settle radius, and a finish from the collapse starts with it.
-        # (ii) Near a smooth minimum the controller sits at the stability
-        # boundary, where the stiff transverse mode is neutrally stable and
-        # its amplitude floors ||z||: the stagnation watch hands off when no
-        # 30% decrease of ||z|| happens within 500 step attempts in the late
-        # phase.  (iii) A step that would reach settle_tol is dropped, and the
-        # finish places the crossing from the state before ("settle_step").
-        collapse = params.alpha < 0 and z0 < COLLAPSE_BELOW
-        stiff = collapse  # of the last accepted step; a start has none to test
+        # In the terminal phase (||z|| < COLLAPSE_BELOW) the field's Jacobian
+        # can grow without bound (like ||z||^(alpha-1) with alpha < 0, and
+        # with the Hessian at p < 2), so there explicit steps may be held at
+        # their stability boundary.  A step there is tested for that from its
+        # own stages, and an accepted one with h*lambda > STIFF_H_LAMBDA
+        # hands off ("stiff"); a start there steps first, as any run does.
+        # Steps there take the capped absolute tolerance of `_collapse_atol`,
+        # so that they resolve the settle radius.  (ii) Near a smooth minimum
+        # the controller sits at the stability boundary, where the stiff
+        # transverse mode is neutrally stable and its amplitude floors ||z||:
+        # the stagnation watch hands off when no 30% decrease of ||z||
+        # happens within 500 step attempts in the late phase.  (iii) A step
+        # that would reach settle_tol is dropped, and the finish places the
+        # crossing from the state before ("settle_step").
+        collapse = z0 < COLLAPSE_BELOW
+        stiff = False  # of the last accepted step
         rule = None  # the handoff rule that fired
         z_mark = z0
         attempts_mark = 0
@@ -595,7 +593,7 @@ def integrate(
                 reason = "step_budget"
                 break
             if stiff:
-                rule = "stiff" if steps else "start"
+                rule = "stiff"
                 break
             if steps - attempts_mark >= 500 and z_cur < 1e-2 * z0:
                 rule = "stagnation"
@@ -622,7 +620,7 @@ def integrate(
             if z_new <= config.settle_tol:
                 rule = "settle_step"
                 break
-            collapse = params.alpha < 0 and z_new < COLLAPSE_BELOW
+            collapse = z_new < COLLAPSE_BELOW
             stiff = collapse and (
                 _h_lambda(h, ya_new, unpack(y6), unpack(k_last), unpack(k6)) > STIFF_H_LAMBDA
             )
@@ -648,9 +646,9 @@ def integrate(
                 return znorm_of(w + y_eq)[0] - config.settle_tol
 
             w = ya - y_eq
-            # a finish from the collapse takes the explicit steps' capped
-            # absolute tolerance at the state it starts from
-            atol = _collapse_atol(config, w.dot(w)) if collapse else config.abs_tol
+            # the capped absolute tolerance of the state the finish starts
+            # from, abs_tol wherever ||w|| >= abs_tol / rel_tol
+            atol = _collapse_atol(config, w.dot(w))
             solver = _Radau(field_dev, t, w, float(config.t_max), rtol=config.rel_tol, atol=atol)
             g = crossing(w)
             stride = config.record_stride / 4.0

@@ -15,7 +15,12 @@ from scipy.integrate import Radau, solve_ivp
 from scipy.integrate._ivp import radau as _radau
 from scipy.linalg import LinAlgWarning
 
-from ftflow.experiments import export_trajectory, preset, read_trajectory_csv
+from ftflow.experiments import (
+    ExperimentConfig,
+    export_trajectory,
+    preset,
+    read_trajectory_csv,
+)
 from ftflow.flow import FlowError, FlowParams, FlowState, conservative_params, flow_field
 from ftflow.integrate import (
     IntegrationError,
@@ -47,6 +52,14 @@ def ppower_traj(alpha, t_max=50.0):
 
 def dissipative(alpha):
     return FlowParams(alpha=alpha, beta=0.5, gamma=0.5, kappa=1.0)
+
+
+def sweep_draw(p, theta0, alpha, beta, gamma):
+    """An n = 2 p-power draw of the benchmark's ppower-sweep: kappa = 1, from
+    rest, under fig2's integrator (PP_CFG)."""
+    return ExperimentConfig(
+        "ppower", tuple(theta0), FlowParams(alpha, beta, gamma, 1.0), PP_CFG, {"p": p, "dim": 2}
+    )
 
 
 def handoff_sample(traj):
@@ -307,7 +320,7 @@ class TestIntegrateFlow:
         # from ||z0|| = 1, so alpha < 0 settles at T = 2 (1 - settle_tol^-alpha)
         # / -alpha and alpha = 0 at 2 ln(1 / settle_tol).  Every run settles in
         # the Radau finish, on the settled side, handed off at the step that
-        # would cross settle_tol: the alpha < 0 collapse at p = 2 is not stiff
+        # would cross settle_tol: the terminal phase at p = 2 is not stiff
         for alpha, settle_tol, settled_at in [
             (-0.8, 1e-9, 2.5),
             (-1.0, 1e-9, 2.0 * (1.0 - 1e-9)),
@@ -353,9 +366,9 @@ class TestIntegrateFlow:
         if traj.terminated_reason == "settled":
             assert traj.z_norm[-1] <= cfg.integrator.settle_tol
         if name.startswith("fig1-"):
-            # every fig1 member hands off above the alpha < 0 collapse's 1e-3,
-            # by the stagnation watch, so the collapse rules leave its counts
-            # as they were
+            # every fig1 member hands off above the terminal phase's 1e-3, by
+            # the stagnation watch, so the terminal-phase rules leave its
+            # counts as they were
             assert traj.handoff.rule == "stagnation"
             assert traj.z_norm[handoff_sample(traj)] > integrate_module.COLLAPSE_BELOW
 
@@ -375,25 +388,23 @@ class TestIntegrateFlow:
             assert estimates[0] == estimates[1]  # the same bits on both forms
 
     @pytest.mark.parametrize(
-        "theta0, rule, handoff_at",  # handoff_at: the sample the finish starts from
-        [([1.0, 0.0], "settle_step", 522), ([5e-4, 0.0], "start", 0)],
+        "theta0, handoff_at",  # handoff_at: the sample the finish starts from
+        [([1.0, 0.0], 522), ([5e-4, 0.0], 265)],
         ids=["from-1", "start-below-1e-3"],
     )
-    def test_alpha_below_zero_hands_off_below_1e_3(self, theta0, rule, handoff_at):
+    def test_alpha_below_zero_hands_off_below_1e_3(self, theta0, handoff_at):
         # with alpha < 0 the field's Jacobian grows without bound as ||z|| -> 0,
         # but at p = 2 not faster than the collapse itself: a run from above
-        # 1e-3 stays on the explicit pair through the collapse until the step
-        # that would settle, and a start below 1e-3 hands off at once
+        # 1e-3, or from below it, stays on the explicit pair through the
+        # collapse until the step that would settle
         state = FlowState(theta=np.array(theta0), v=np.zeros(2))
         traj = integrate(state, dissipative(-0.5), p_power(2.0), PP_CFG)
         k = handoff_sample(traj)
-        assert (traj.handoff.rule, k) == (rule, handoff_at)
+        assert (traj.handoff.rule, k) == ("settle_step", handoff_at)
+        # explicit steps went on in the collapse, to the last one accepted
         below = np.flatnonzero(traj.z_norm[: k + 1] < integrate_module.COLLAPSE_BELOW)
-        if rule == "start":
-            assert traj.handoff.t == 0.0 and below.tolist() == [0]
-        else:  # explicit steps went on in the collapse, to the last one accepted
-            assert below.size > 100 and below[-1] == k
-            assert traj.z_norm[k] > PP_CFG.settle_tol
+        assert below.size > 100 and below[-1] == k
+        assert traj.z_norm[k] > PP_CFG.settle_tol
         assert traj.terminated_reason == "settled"
         assert traj.z_norm[-1] <= PP_CFG.settle_tol
         # the same run with alpha = 0 stays on the explicit pair until the step
@@ -422,37 +433,112 @@ class TestIntegrateFlow:
         assert traj.z_norm[-1] <= PP_CFG.settle_tol
 
     @pytest.mark.parametrize(
-        "p, theta0, params, reference",
+        "alpha, handoff_at, reference, within",
+        [
+            (-0.5, 64, 0.0007035439634187098, 1e-6),
+            # the finish keeps the capped tolerance of its first state, which
+            # resolves the settle radius less well as the slow alpha = 0
+            # approach goes on (ROADMAP item 2): 8.4e-6 off
+            (0.0, 77, 4.952165260813631, 1e-5),
+        ],
+        ids=["alpha-0.5", "alpha0"],
+    )
+    def test_start_in_the_terminal_phase_steps_first(self, alpha, handoff_at, reference, within):
+        # the terminal phase is ||z|| < COLLAPSE_BELOW whatever alpha, and a
+        # start in it steps as any run does: p = 1.5 from ||z0|| = 3.2e-4 turns
+        # stiff after some explicit steps, hands off then, and settles near
+        # perfbench/oracle.py's LSODA time (reference_solve of this run)
+        state = FlowState(theta=np.array([1e-7, 0.0]), v=np.zeros(2))
+        traj = integrate(state, dissipative(alpha), p_power(1.5), PP_CFG)
+        k = handoff_sample(traj)
+        assert (traj.handoff.rule, k) == ("stiff", handoff_at)
+        assert PP_CFG.settle_tol < traj.handoff.z_norm < integrate_module.COLLAPSE_BELOW
+        assert traj.terminated_reason == "settled"
+        assert traj.settled_at == pytest.approx(reference, abs=within)
+
+    @pytest.mark.parametrize(
+        "cfg, reference",
         [
             (
-                1.6984590556237253, [0.8563522421585704, -0.4591558581763713],
-                FlowParams(-0.1263368682521845, 0.4263184169686426, 0.4608570589306595, 1.0),
+                sweep_draw(
+                    1.6984590556237253, [0.8563522421585704, -0.4591558581763713],
+                    -0.1263368682521845, 0.4263184169686426, 0.4608570589306595,
+                ),
                 8.667471452609043,
             ),
             (
-                1.5736404414903984, [1.5295603901492874, 0.31495529194627586],
-                FlowParams(-0.07772769501908783, 0.49236339737777907, 0.5832587068825187, 1.0),
+                sweep_draw(
+                    1.5736404414903984, [1.5295603901492874, 0.31495529194627586],
+                    -0.07772769501908783, 0.49236339737777907, 0.5832587068825187,
+                ),
                 12.408511620685172,
             ),
             (
-                1.8847508647520006, [-0.2635560023027985, -1.4263789056873872],
-                FlowParams(-0.04704002147040243, 0.4109766656686731, 0.5088290256874687, 1.0),
+                sweep_draw(
+                    1.8847508647520006, [-0.2635560023027985, -1.4263789056873872],
+                    -0.04704002147040243, 0.4109766656686731, 0.5088290256874687,
+                ),
                 17.212320275386364,
             ),
+            # alpha = 0 variants of seed 881's sweep-28, sweep-06 and seed 882's
+            # sweep-25, which missed by -0.30 (a stagnation handoff at
+            # ||z|| = 6e-9), +2.3e-2 and +7.5e-5 while only alpha < 0 runs
+            # took the terminal phase's cap and stiffness test
+            (
+                sweep_draw(
+                    1.6697435576399386, [1.5062905488592155, -0.6903877003800156],
+                    0.0, 0.680330520558873, 0.49511669221981436,
+                ),
+                18.371343939955153,
+            ),
+            (
+                sweep_draw(
+                    1.74242814842187, [0.6649559568646669, -0.2610681867126869],
+                    0.0, 0.335457175190891, 0.35459702889450023,
+                ),
+                24.836878004477928,
+            ),
+            (
+                sweep_draw(
+                    1.6855960146978926, [1.5022712372382983, 0.020044582682615775],
+                    0.0, 0.6947209808013689, 0.6578866520527176,
+                ),
+                19.68055667195153,
+            ),
+            # every preset member the oracle has a gradient for (it has no
+            # quadratic, so `conservative` stays with acceptance criterion 5)
+            (preset("fig1-left-a025"), 12.800691949413192),
+            (preset("fig1-left-a05"), 8.167812423639056),
+            (preset("fig1-left-a075"), 7.314241572589932),
+            (preset("fig1-right-interior"), 8.167812423639056),
+            (preset("fig1-right-pi"), 22.026747165932402),
+            (preset("fig1-right-heavyball"), None),  # the reference too runs to the horizon
+            (preset("fig2-p1.5"), 2.41297286532057),
+            (preset("fig2-p2"), 2.499999842535375),
+            (preset("fig2-p3"), 2.132685011348898),
         ],
-        ids=["p1.70", "p1.57", "p1.88-alpha-near-0"],
+        ids=[
+            "p1.70", "p1.57", "p1.88-alpha-near-0",
+            "p1.67-alpha0", "p1.74-alpha0", "p1.69-alpha0",
+            "fig1-left-a025", "fig1-left-a05", "fig1-left-a075",
+            "fig1-right-interior", "fig1-right-pi", "fig1-right-heavyball",
+            "fig2-p1.5", "fig2-p2", "fig2-p3",
+        ],
     )
-    def test_collapse_settles_at_the_reference_time(self, p, theta0, params, reference):
-        # p-power draws of the benchmark's ppower-sweep (seeds 841, 91, 61), and
-        # the settle times of perfbench/oracle.py's independent LSODA solve
-        # (rtol 1e-12, atol cut until two solves agree within 1e-7).  Below
+    def test_collapse_settles_at_the_reference_time(self, cfg, reference):
+        # the settle times of perfbench/oracle.py's independent LSODA solve,
+        # `reference_solve(cfg)` (rtol 1e-12, atol cut until two solves agree
+        # within 1e-7), for p-power draws of the benchmark's ppower-sweep
+        # (seeds 841, 91, 61, then alpha = 0 variants) and the presets.  Below
         # ||theta|| = abs_tol / rel_tol = 1e-3 a fixed abs_tol stops resolving
-        # the settle radius tol^(1/(p-1)) (2e-16 to 6e-11 here): these missed
-        # by 4e-6 to 9e-5 before the collapse capped it
-        state = FlowState(theta=np.array(theta0), v=np.zeros(2))
-        traj = integrate(state, params, p_power(p), PP_CFG)
-        assert traj.terminated_reason == "settled"
-        assert traj.settled_at == pytest.approx(reference, abs=1e-6)
+        # the settle radius tol^(1/(p-1)) (2e-16 to 6e-11 for the first
+        # three): these missed by 4e-6 to 9e-5 before the collapse capped it
+        traj = integrate(cfg.initial_state(), cfg.flow, cfg.objective(), cfg.integrator)
+        if reference is None:
+            assert traj.terminated_reason == "horizon"
+        else:
+            assert traj.terminated_reason == "settled"
+            assert traj.settled_at == pytest.approx(reference, abs=1e-6)
 
     @pytest.mark.parametrize(
         "objective, params, grad_calls, settled_at, samples, rule",
@@ -729,7 +815,9 @@ class TestFloatPath:
         ids=["n1", "n2", "n3"],
     )
     def test_settle_in_the_finish(self, objective, theta0):
-        # alpha = -0.8: the explicit steps hand off at ||z|| < 1e-3, and the finish settles
+        # alpha = -0.8: the explicit steps hand off in the collapse, n1 where
+        # they turn stiff and n2, n3 at the step that would settle, and the
+        # finish settles
         state = FlowState(theta=np.array(theta0), v=np.zeros(len(theta0)))
         runs = float_and_numpy_runs(state, dissipative(-0.8), objective, PP_CFG)
         assert_same_runs(runs)
@@ -804,13 +892,9 @@ class TestFloatPath:
         if start is None:
             return
         runs = float_and_numpy_runs(*start, objective, SEARCH_CONFIG, max_steps=SEARCH_MAX_STEPS)
-        # no explicit step: a start that is settled, or an alpha < 0 start
-        # with ||z0|| < 1e-3, which hands off to the finish at once
+        # no explicit step only from a start that is settled
         g = objective.grad(start[0].theta)
-        z0 = math.sqrt(g.dot(g))
-        assert_same_runs(
-            runs, stepped=not (z0 <= SEARCH_CONFIG.settle_tol or alpha < 0 and z0 < 1e-3)
-        )
+        assert_same_runs(runs, stepped=math.sqrt(g.dot(g)) > SEARCH_CONFIG.settle_tol)
 
 
 class TestCsvRoundTrip:
