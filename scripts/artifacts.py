@@ -9,8 +9,8 @@ fig1`, `ftflow repro fig2` and `ftflow run --preset conservative`), and
 workload: the configs as `perfbench/workloads.py` generates and writes
 them, and each one's `ftflow run --config` artifacts.  `ppower-dim4/` and
 `ppower-dim50/` hold `ftflow run --objective ppower --p 1.7` at dim 4 and 50
-from off-axis starts (seeded uniform draws in [-1, 1]), whose states of 8 or
-more components take the step's array form.  `ppower-alpha0/` holds
+from off-axis starts (seeded uniform draws in [-1, 1]), the only runs above
+n = 3.  `ppower-alpha0/` holds
 `ftflow run --objective ppower --p 2 --alpha 0`, the unscaled flow on a
 smooth minimum, which stays explicit until the step that would settle.
 `ppower-p1.5-alpha0/` holds `ftflow run --preset fig2-p1.5 --alpha 0`, the

@@ -16,15 +16,11 @@ finish, unless it starts settled: brentq places the crossing on the
 interpolant of the Radau step it falls in, and the run ends at a time on the
 settled side.  `Trajectory.handoff` records which rule fired, when.
 
-One step, `dopri5_step`, takes the state as a list of components: 2n Python
-floats with the field's float form (`flow.flow_field`) below FLOAT_STATE_BELOW
-= 8 components (n <= 3, all of the paper's experiments), else `[array]` with
-`field`, each comprehension of the step then running once, vectorized, bit
-for bit as on floats.  Summation order fixes the bound, not speed: numpy sums
-fewer than 8 terms left to right, as the float error norm does.  The finish,
-which calls `field` once per collocation stage, takes the state as an array.
+The explicit steps, `dopri5_step`, take the state as a list of 2n Python
+floats, with the field's float form `field.floats` (`flow.flow_field`).  The
+finish, which calls `field` once per collocation stage, takes it as an array.
 
-Patch MAX_STEPS or FLOAT_STATE_BELOW on importlib.import_module("ftflow.integrate"):
+Patch MAX_STEPS on importlib.import_module("ftflow.integrate"):
 `ftflow/__init__.py` binds the function `integrate` over this module, so setting
 `ftflow.integrate.MAX_STEPS` sets an attribute on the function and patches nothing.
 """
@@ -50,7 +46,6 @@ class IntegrationError(RuntimeError):
     pass
 
 
-FLOAT_STATE_BELOW = 8  # 2n below which the explicit step takes floats, not [array] (module doc)
 INITIAL_STEP = 1e-4
 MIN_STEP = 1e-14
 MAX_STEPS = 5_000_000  # step attempts, explicit and finish, before a run ends as "step_budget"
@@ -182,29 +177,24 @@ def _error_norm(err, dev0: float, y1: np.ndarray, cfg, y_eq, capped=False) -> tu
     # so that components momentarily crossing the equilibrium are not
     # over-resolved.  dev0 = ||y0 - y_eq||^2 holds until a step is accepted,
     # so the caller passes the returned ||y1 - y_eq||^2 back as the next dev0.
-    # err is the array of an [array] step or the list of a float step.
-    # `capped` (the terminal phase) takes the absolute part from
-    # `_collapse_atol`.
+    # err is the step's list of floats, summed left to right.  `capped` (the
+    # terminal phase) takes the absolute part from `_collapse_atol`.
     d1 = y1 - y_eq
     dev1 = d1.dot(d1)
     dev = max(dev0, dev1)
     scale = (_collapse_atol(cfg, dev) if capped else cfg.abs_tol) + cfg.rel_tol * math.sqrt(dev)
-    if isinstance(err, list):
-        # numpy sums fewer than 8 terms left to right, as this loop does
-        total = 0.0
-        for e in err:
-            q = e / scale
-            total += q * q
-        return math.sqrt(total / len(err)), dev1
-    q = err / scale
-    return math.sqrt((q * q).sum() / q.size), dev1
+    total = 0.0
+    for e in err:
+        q = e / scale
+        total += q * q
+    return math.sqrt(total / len(err)), dev1
 
 
 def _h_lambda(h: float, y7: np.ndarray, y6: np.ndarray, k7: np.ndarray, k6: np.ndarray) -> float:
     """h times the field's dominant Lipschitz estimate from the last two
     stages of a DOPRI5 step, both at t + h: h ||k7 - k6|| / ||y7 - y6||
     (Hairer & Wanner, Solving ODEs II, §IV.2); 0 where y7 == y6.  Takes
-    arrays on either form of the step, so the bits do not depend on it."""
+    the step's lists as arrays."""
     dy = y7 - y6
     den = dy.dot(dy)
     if not den > 0.0:
@@ -218,10 +208,9 @@ def dopri5_step(f: Callable, y: list, h: float, k1: list):
     error_vector, k7, y6, k6): k7 = f(y_new) is the next step's k1, and the
     stage-6 point y6 with k6 = f(y6) feeds `_h_lambda`.
 
-    y, k1 and what f returns are lists of components: 2n Python floats, or
-    `[array]` when 2n >= FLOAT_STATE_BELOW.  The tableau is written out stage
-    by stage, each sum in the same order for both; k2 is left out of y_new and
-    the error, where a zero weight would turn an inf k2 into NaN."""
+    y, k1 and what f returns are lists of 2n Python floats.  The tableau is
+    written out stage by stage; k2 is left out of y_new and the error, where a
+    zero weight would turn an inf k2 into NaN."""
     k2 = f([x + h * (0.2 * a) for x, a in zip(y, k1)])
     k3 = f([x + h * (0.075 * a + 0.225 * b) for x, a, b in zip(y, k1, k2)])
     k4 = f([x + h * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c) for x, a, b, c in zip(y, k1, k2, k3)])
@@ -558,12 +547,8 @@ def integrate(
         h = INITIAL_STEP
         z_cur, dev = z0, (y - y_eq).dot(y - y_eq)
         # ya is the state as an array; y is it as the step takes it, a list
-        # of 2n Python floats for a small state, else [array]
-        floats = 2 * n < FLOAT_STATE_BELOW
-        if floats:
-            f, unpack, ya, y = field.floats, np.array, y, y.tolist()
-        else:  # the flow is autonomous, so t need not be the stage's time
-            f, unpack, ya, y = (lambda c: [field(t, c[0])]), (lambda c: c[0]), y, [y]
+        # of 2n Python floats
+        f, ya, y = field.floats, y, y.tolist()
         # an inf k1 (overflowing ||z||) fails every step: non_finite
         k1 = f(y)
 
@@ -603,8 +588,8 @@ def integrate(
             if h < MIN_STEP:
                 h = min(MIN_STEP, config.t_max - t)
             y_new, err, k_last, y6, k6 = dopri5_step(f, y, h, k1)
-            ya_new = unpack(y_new)
-            en, dev_new = _error_norm(err if floats else err[0], dev, ya_new, config, y_eq, collapse)
+            ya_new = np.array(y_new)
+            en, dev_new = _error_norm(err, dev, ya_new, config, y_eq, collapse)
             # grows an accepted step and shrinks one the error control
             # rejects (en > 1 keeps it below 0.9); NaN or inf en gives 0.2
             factor = min(5.0, max(0.2, 0.9 * (en + 1e-16) ** -0.2))
@@ -622,7 +607,7 @@ def integrate(
                 break
             collapse = z_new < COLLAPSE_BELOW
             stiff = collapse and (
-                _h_lambda(h, ya_new, unpack(y6), unpack(k_last), unpack(k6)) > STIFF_H_LAMBDA
+                _h_lambda(h, ya_new, np.array(y6), np.array(k_last), np.array(k6)) > STIFF_H_LAMBDA
             )
             t, y, ya, k1, dev = t + h, y_new, ya_new, k_last, dev_new
             z_cur = z_new
