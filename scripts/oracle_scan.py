@@ -11,8 +11,14 @@ to, the benchmark's cache `.perfbench/references.json`; nothing is
 written under `perfbench/`.  Prints one line per miss and one count per
 seed, with no timing; exits 1 when any member misses.  Imports ftflow from
 the `src/` of the checkout it sits in.
+
+Each seed's count line ends with a sha256 digest over every member's
+`times` and `states` (their bytes), `terminated_reason`, `settled_at` and
+`handoff` (their reprs), so running the script on two checkouts and
+comparing the lines tells whether their runs are bit-identical.
 """
 
+import hashlib
 import os
 import sys
 from pathlib import Path
@@ -44,14 +50,18 @@ def main(argv: list[str]) -> int:
         configs = workloads.sweep_members(seed)
         refs = harness.references(configs, cache)
         missed = 0
+        digest = hashlib.sha256()
         for cfg in configs:
             traj = integrate(cfg.initial_state(), cfg.flow, cfg.objective(), cfg.integrator)
+            digest.update(traj.times.tobytes())
+            digest.update(traj.states.tobytes())
+            digest.update(repr((traj.terminated_reason, traj.settled_at, traj.handoff)).encode())
             miss = oracle.check(traj.settled_at, traj.terminated_reason, refs[cfg.label])
             if miss is not None:
                 missed += 1
                 p, alpha = cfg.objective_params["p"], cfg.flow.alpha
                 print(f"seed {seed} {cfg.label} (p = {p:.3f}, alpha = {alpha:.3f}): {miss.detail}")
-        print(f"seed {seed}: failed {missed}/{len(configs)}")
+        print(f"seed {seed}: failed {missed}/{len(configs)} sha256 {digest.hexdigest()}")
         total += missed
     return 1 if total else 0
 

@@ -119,61 +119,39 @@ def stacked(state: FlowState, objective: Objective) -> tuple[np.ndarray, float]:
 
 def flow_field(
     params: FlowParams, gradient: Callable[[np.ndarray], np.ndarray], n: int
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The flow as dy/dt = field(t, y) on the flat state y = [theta, v].
+) -> Callable[[list], list]:
+    """The flow as dy/dt = field(y) on the flat state y = [theta, v].
 
-    The field has two forms: `field` itself, on arrays, which the Radau
-    finish calls, and `field.floats`, on Python floats, which the explicit
-    DOPRI5 steps call.
+    `field(y)` takes the 2n entries of y as a list or a 1-D array and
+    returns a list of 2n Python floats, exactly zero whenever
+    ||z|| <= SINGULAR_TOL: for alpha > -1 this is the continuous extension
+    at the equilibrium, and it makes the equilibrium an exact fixed point
+    of any integrator.  `gradient` is called once per evaluation and is not
+    checked for finiteness; an overflowing ||z|| yields an inf field instead.
 
-    `field` returns a fresh array, exactly zero whenever ||z|| <= SINGULAR_TOL:
-    for alpha > -1 this is the continuous extension at the equilibrium, and
-    it makes the equilibrium an exact fixed point of any integrator.
-    `gradient` is called once per evaluation and is not checked for
-    finiteness; an overflowing ||z|| yields an inf field instead.
-
-    `field.floats(y)` evaluates it at a sequence of 2n Python floats and
-    returns a list of them, bit for bit as `field`: the gradient is called
-    on an array and ||z||^2 taken from the same BLAS dots (OpenBLAS fuses
-    them into multiply-adds, which float products would not match); only
-    the formula runs on floats, the same operations in numpy's order.
+    The gradient is called on an array and ||z||^2 taken from BLAS dots
+    (OpenBLAS fuses them into multiply-adds, which float products would not
+    match); the formula runs on Python floats.
     """
-    alpha, beta, gamma, kappa = params.alpha, params.beta, params.gamma, params.kappa
-    # both halves as one 2n-wide formula over [g, g] and [v, v]; it is
-    # s (beta v - (1-beta) g) and (-kappa s) (gamma g + (1-gamma) v) bit for
-    # bit, since a - b is a + (-b), (-c) x is -(c x) and products commute
-    coef_g = np.repeat([-(1.0 - beta), gamma], n)
-    coef_v = np.repeat([beta, 1.0 - gamma], n)
-    scale = np.repeat([1.0, -kappa], n)
-    ig, iv = np.tile(np.arange(n), 2), np.tile(np.arange(n, 2 * n), 2)
+    alpha, beta, gamma = params.alpha, params.beta, params.gamma
+    # theta' = s (c_g g + beta v) and v' = (s scale_v) (gamma g + c_v v), s = ||z||^alpha
+    c_g, c_v, scale_v = -(1.0 - beta), 1.0 - gamma, -params.kappa
 
-    def field(t, y):
-        g = gradient(y[:n])
-        v = y[n:]
-        znorm = math.sqrt(g.dot(g) + v.dot(v))
-        if not SINGULAR_TOL < znorm < math.inf:
-            # an overflowing or NaN ||z|| gives inf, so the error control rejects the step
-            return np.full(2 * n, 0.0 if znorm <= SINGULAR_TOL else np.inf)
-        return (coef_g * g[ig] + coef_v * y[iv]) * ((znorm ** alpha) * scale)
-
-    c_g, c_v = -(1.0 - beta), 1.0 - gamma  # coef_g of theta', coef_v of v'
-    scale_v = float(scale[n])  # -kappa, as the field scales v' by it
-
-    def floats(y):
+    def field(y):
         ya = np.array(y)
         g = gradient(ya[:n])
         v = ya[n:]
         znorm = math.sqrt(g.dot(g) + v.dot(v))
         if not SINGULAR_TOL < znorm < math.inf:
+            # an overflowing or NaN ||z|| gives inf, so the error control rejects the step
             return [0.0 if znorm <= SINGULAR_TOL else math.inf] * (2 * n)
-        s = znorm**alpha  # times scale's 1.0, bit for bit
+        s = znorm**alpha
         s_v = s * scale_v
-        pairs = list(zip(g.tolist(), y[n:]))
+        pairs = list(zip(g.tolist(), v.tolist()))
         return [(c_g * a + beta * b) * s for a, b in pairs] + [
             (gamma * a + c_v * b) * s_v for a, b in pairs
         ]
 
-    field.floats = floats
     return field
 
 

@@ -17,8 +17,8 @@ interpolant of the Radau step it falls in, and the run ends at a time on the
 settled side.  `Trajectory.handoff` records which rule fired, when.
 
 The explicit steps, `dopri5_step`, take the state as a list of 2n Python
-floats, with the field's float form `field.floats` (`flow.flow_field`).  The
-finish, which calls `field` once per collocation stage, takes it as an array.
+floats and call the field kernel (`flow.flow_field`) on it.  The finish takes
+the state as an array and wraps each of the kernel's lists in `np.array`.
 
 Patch MAX_STEPS on importlib.import_module("ftflow.integrate"):
 `ftflow/__init__.py` binds the function `integrate` over this module, so setting
@@ -190,17 +190,14 @@ def _error_norm(err, dev0: float, y1: np.ndarray, cfg, y_eq, capped=False) -> tu
     return math.sqrt(total / len(err)), dev1
 
 
-def _h_lambda(h: float, y7: np.ndarray, y6: np.ndarray, k7: np.ndarray, k6: np.ndarray) -> float:
+def _h_lambda(h: float, y7: list, y6: list, k7: list, k6: list) -> float:
     """h times the field's dominant Lipschitz estimate from the last two
     stages of a DOPRI5 step, both at t + h: h ||k7 - k6|| / ||y7 - y6||
-    (Hairer & Wanner, Solving ODEs II, §IV.2); 0 where y7 == y6.  Takes
-    the step's lists as arrays."""
-    dy = y7 - y6
-    den = dy.dot(dy)
+    (Hairer & Wanner, Solving ODEs II, §IV.2); 0 where y7 == y6."""
+    den = math.dist(y7, y6)
     if not den > 0.0:
         return 0.0
-    dk = k7 - k6
-    return h * math.sqrt(dk.dot(dk) / den)
+    return h * math.dist(k7, k6) / den
 
 
 def dopri5_step(f: Callable, y: list, h: float, k1: list):
@@ -548,9 +545,9 @@ def integrate(
         z_cur, dev = z0, (y - y_eq).dot(y - y_eq)
         # ya is the state as an array; y is it as the step takes it, a list
         # of 2n Python floats
-        f, ya, y = field.floats, y, y.tolist()
+        ya, y = y, y.tolist()
         # an inf k1 (overflowing ||z||) fails every step: non_finite
-        k1 = f(y)
+        k1 = field(y)
 
         # The run hands the rest to an implicit solver in three cases.  (i)
         # In the terminal phase (||z|| < COLLAPSE_BELOW) the field's Jacobian
@@ -587,7 +584,7 @@ def integrate(
             h = min(h, config.record_stride, config.t_max - t)
             if h < MIN_STEP:
                 h = min(MIN_STEP, config.t_max - t)
-            y_new, err, k_last, y6, k6 = dopri5_step(f, y, h, k1)
+            y_new, err, k_last, y6, k6 = dopri5_step(field, y, h, k1)
             ya_new = np.array(y_new)
             en, dev_new = _error_norm(err, dev, ya_new, config, y_eq, collapse)
             # grows an accepted step and shrinks one the error control
@@ -606,9 +603,7 @@ def integrate(
                 rule = "settle_step"
                 break
             collapse = z_new < COLLAPSE_BELOW
-            stiff = collapse and (
-                _h_lambda(h, ya_new, np.array(y6), np.array(k_last), np.array(k6)) > STIFF_H_LAMBDA
-            )
+            stiff = collapse and _h_lambda(h, y_new, y6, k_last, k6) > STIFF_H_LAMBDA
             t, y, ya, k1, dev = t + h, y_new, ya_new, k_last, dev_new
             z_cur = z_new
             if z_new < 0.7 * z_mark:
@@ -625,7 +620,7 @@ def integrate(
             # coordinates (w = y - y_eq) keeps its relative error scaling
             # consistent with the explicit steps' error norm.
             def field_dev(tt, w):
-                return field(tt, w + y_eq)
+                return np.array(field(w + y_eq))
 
             def crossing(w):
                 return znorm_of(w + y_eq)[0] - config.settle_tol

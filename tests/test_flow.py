@@ -87,8 +87,23 @@ class TestFlowState:
 def _field_at(state, params, objective):
     """(theta', v') of the flow kernel at one state."""
     field = flow_field(params, objective.gradient, state.dim)
-    out = field(0.0, np.concatenate([state.theta, state.v]))
+    out = np.array(field(np.concatenate([state.theta, state.v])))
     return out[: state.dim], out[state.dim :]
+
+
+def componentwise(params, g, v):
+    """The field written out on arrays, from the gradient g and momentum v:
+    zero in the ball ||z|| <= SINGULAR_TOL, inf where ||z|| is inf or NaN."""
+    alpha, beta, gamma, kappa = params.alpha, params.beta, params.gamma, params.kappa
+    znorm = float(np.sqrt(np.dot(g, g) + np.dot(v, v)))
+    if znorm <= SINGULAR_TOL:
+        return np.zeros(2 * v.size)
+    if not znorm < np.inf:
+        return np.full(2 * v.size, np.inf)
+    s = znorm**alpha
+    return np.concatenate(
+        [s * (beta * v - (1.0 - beta) * g), (-kappa * s) * (gamma * g + (1.0 - gamma) * v)]
+    )
 
 
 def _lyapunov_at(state, params, objective):
@@ -120,15 +135,9 @@ class TestVectorField:
         params = FlowParams(alpha=alpha, beta=beta, gamma=gamma, kappa=kappa)
         state = FlowState(theta=np.array(coords[:2]), v=np.array(coords[2:]))
         objective = quadratic([1.0, 2.0])
-        g, v = objective.grad(state.theta), state.v
-        znorm = float(np.sqrt(np.dot(g, g) + np.dot(v, v)))
         dtheta, dv = _field_at(state, params, objective)
-        if znorm <= SINGULAR_TOL:
-            assert same_bits(dtheta, np.zeros(2)) and same_bits(dv, np.zeros(2))
-            return
-        s = znorm**alpha
-        assert same_bits(dtheta, s * (beta * v - (1.0 - beta) * g))
-        assert same_bits(dv, (-kappa * s) * (gamma * g + (1.0 - gamma) * v))
+        expected = componentwise(params, objective.grad(state.theta), state.v)
+        assert same_bits(np.concatenate([dtheta, dv]), expected)
 
     @pytest.mark.parametrize(
         "params",
@@ -144,7 +153,7 @@ class TestVectorField:
         [rosenbrock(), p_power(1.5), p_power(2.5, dim=1), quadratic([0.5, 2.0, 4.0])],
         ids=["rosenbrock", "ppower", "ppower-n1", "quadratic-n3"],
     )
-    def test_floats_match_the_field(self, params, objective):
+    def test_special_states_match_componentwise(self, params, objective):
         calls = [0]
 
         def gradient(theta):
@@ -168,17 +177,31 @@ class TestVectorField:
         rng = np.random.default_rng(9)
         scales = rng.choice([1e-7, 1.0, 30.0], (40, 1))
         Y = np.concatenate([special[0] + rng.normal(size=(40, 2 * n)) * scales, special])
+        outs = []
         with np.errstate(over="ignore", invalid="ignore"):
             for y in Y:
-                expected = field(0.0, y)
                 calls[0] = 0
-                got = field.floats(y.tolist())
+                got = field(y.tolist())
                 assert calls[0] == 1
                 assert all(type(x) is float for x in got)
+                expected = componentwise(params, objective.gradient(y[:n]), y[n:])
                 assert same_bits(np.array(got), expected), y
-            guarded = [field(0.0, y) for y in special]
+                outs.append(expected)
+        guarded = outs[-len(special):]
         assert any(np.isinf(out).all() for out in guarded)
         assert any((out == 0.0).all() for out in guarded)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_list_and_array_give_the_same_bits(self, n):
+        params = FlowParams(alpha=-0.5, beta=0.3, gamma=0.6, kappa=2.0)
+        field = flow_field(params, p_power(1.7, dim=n).gradient, n)
+        rng = np.random.default_rng(n)
+        Y = rng.normal(size=(20, 2 * n)) * rng.choice([1e-7, 1.0, 30.0], (20, 1))
+        Y[0, :] = -0.0
+        for y in Y:
+            from_list, from_array = field(y.tolist()), field(y)
+            assert all(type(x) is float for x in from_array)
+            assert same_bits(np.array(from_list), np.array(from_array)), y
 
     def test_exact_zero_at_equilibrium(self):
         objective = rosenbrock()
@@ -191,12 +214,12 @@ class TestVectorField:
         params = FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0)
         field = flow_field(params, lambda theta: theta, 1)
         # ||z|| = 5e-14 lies inside the ball, sqrt(5) * 1e-13 just outside
-        np.testing.assert_array_equal(field(0.0, np.array([3e-14, 4e-14])), [0.0, 0.0])
-        assert np.all(field(0.0, np.array([1e-13, 2e-13])) != 0.0)
+        assert field([3e-14, 4e-14]) == [0.0, 0.0]
+        assert all(x != 0.0 for x in field([1e-13, 2e-13]))
         with np.errstate(over="ignore"):
-            np.testing.assert_array_equal(field(0.0, np.array([1e308, 1e308])), [np.inf, np.inf])
+            assert field([1e308, 1e308]) == [np.inf, np.inf]
         # a NaN gradient gives a NaN ||z||, which must not pass as a finite one
-        np.testing.assert_array_equal(field(0.0, np.array([np.nan, 1.0])), [np.inf, np.inf])
+        assert field([np.nan, 1.0]) == [np.inf, np.inf]
 
     def test_descent_direction_for_pure_gradient_mix(self):
         # beta small: theta' is dominated by -grad f, so f decreases

@@ -351,7 +351,7 @@ class TestIntegrateFlow:
                 return [lam * x for x in y]
 
             y7, _, k7, y6, k6 = dopri5_step(f, [1.0], h, f([1.0]))
-            estimate = _h_lambda(h, *map(np.array, (y7, y6, k7, k6)))
+            estimate = _h_lambda(h, y7, y6, k7, k6)
             assert estimate == pytest.approx(h * abs(lam), rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -784,9 +784,10 @@ class TestCsvRoundTrip:
 
 # the interior flow near the Rosenbrock minimum, whose Hessian has an
 # eigenvalue near 1000: stiff for the explicit pair
-STIFF_FIELD = flow_field(
+_STIFF_KERNEL = flow_field(
     FlowParams(alpha=-0.5, beta=0.5, gamma=0.5, kappa=1.0), rosenbrock().gradient, 2
 )
+STIFF_FIELD = lambda t, y: np.array(_STIFF_KERNEL(y))  # noqa: E731
 STIFF_Y0 = np.array([1.01, 1.03, 0.0, 0.0])
 
 
@@ -1027,7 +1028,7 @@ def finish_via_solve_ivp(objective, params, config, t0, w0, method):
     settled_side = []  # (t, y) of each evaluation at or below settle_tol, all in the last step
     event.terminal, event.direction = True, -1.0
     sol = solve_ivp(
-        lambda t, w: field(t, w + y_eq), (t0, config.t_max), w0, method=method,
+        lambda t, w: np.array(field(w + y_eq)), (t0, config.t_max), w0, method=method,
         rtol=config.rel_tol, atol=config.abs_tol, events=event, dense_output=True,
     )
     assert sol.status >= 0, sol.message
